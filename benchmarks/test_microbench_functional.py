@@ -211,3 +211,71 @@ def test_compiled_speedup_and_parity(mlp_l):
         f"compiled plan only {speedup_b1:.2f}x over fused at batch 1 "
         f"({compiled_b1 * 1e3:.2f} ms vs {fused_b1 * 1e3:.2f} ms)"
     )
+
+
+# -- compiled plan vs its raw GEMMs ----------------------------------
+
+#: Batch of the plan/GEMM ratio gate: the offline throughput regime.
+RATIO_BATCH = 256
+#: Interleaved rounds of the plan/GEMM ratio gate.
+RATIO_ROUNDS = 7
+#: Ceiling on compiled-plan time over the same GEMMs' time.
+RATIO_CEILING = 1.9
+
+
+def test_compiled_plan_gemm_ratio(mlp_l):
+    """MLP-L batch 256: the compiled plan within 1.9x of its GEMMs.
+
+    The GEMM side replays only the plan's count-domain matmuls: every
+    row block of every layer's weight stack against a ``(2 * batch,
+    rows)`` drive, into preallocated outputs.  Everything else the
+    plan does (quantise, digitise, activations, output scale) is the
+    overhead this ratio bounds.  Each round times both sides back to
+    back; the gate is the median of the per-round ratios, so a slow
+    stretch of the host hits both sides alike.
+    """
+    executor, net, plan, programmed, _ = mlp_l
+    features = net.layers[0].weight.shape[0]
+    x = np.random.default_rng(12).random((RATIO_BATCH, features))
+    executor.run_functional(net, plan, x, programmed=programmed)
+    compiled = programmed[0].compiled_plan
+    assert compiled is not None
+    gemms = []
+    for layer in programmed:
+        w = layer.kernel.weight_stack()
+        for i, rows in enumerate(layer.kernel.rows_used):
+            gemms.append(
+                (
+                    np.ones((2 * RATIO_BATCH, rows), dtype=w.dtype),
+                    np.ascontiguousarray(w[i, :rows]),
+                    np.empty((2 * RATIO_BATCH, w.shape[2]), dtype=w.dtype),
+                )
+            )
+
+    def run_gemms():
+        for a, b, out in gemms:
+            np.matmul(a, b, out=out)
+
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    compiled.execute(x)
+    run_gemms()
+    plan_s, gemm_s = [], []
+    for _ in range(RATIO_ROUNDS):
+        plan_s.append(timed(lambda: compiled.execute(x)))
+        gemm_s.append(timed(run_gemms))
+    ratio = float(np.median(np.array(plan_s) / np.array(gemm_s)))
+    print()
+    print(
+        f"compiled plan vs raw GEMM at batch {RATIO_BATCH}: "
+        f"{ratio:.2f}x (plan median {np.median(plan_s) * 1e3:.1f} ms, "
+        f"GEMM median {np.median(gemm_s) * 1e3:.1f} ms, "
+        f"{RATIO_ROUNDS} rounds)"
+    )
+    assert ratio <= RATIO_CEILING, (
+        f"compiled plan {ratio:.2f}x its raw GEMM time at batch "
+        f"{RATIO_BATCH} (ceiling {RATIO_CEILING}x)"
+    )

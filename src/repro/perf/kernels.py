@@ -35,6 +35,7 @@ for differential testing.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
 
@@ -44,12 +45,81 @@ from repro import telemetry
 from repro.errors import CrossbarError
 from repro.precision.composing import split_unsigned
 
-__all__ = ["fused_enabled", "scoped_noise_stream", "FusedLayerKernel"]
+__all__ = [
+    "fused_enabled",
+    "scoped_noise_stream",
+    "sa_window",
+    "digitise",
+    "FusedLayerKernel",
+]
 
 
 def fused_enabled() -> bool:
     """Whether the fused layer fast path is enabled (``PRIME_FUSED``)."""
     return os.environ.get("PRIME_FUSED", "1") != "0"
+
+
+@functools.lru_cache(maxsize=256)
+def sa_window(spec, output_shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """SA pre-shift and post-scale of each partial product (engine Eq. 8).
+
+    Both are read-only ``(2, 2)`` tables indexed ``[drive phase, weight
+    half]`` (0 = high, 1 = low), cached per ``(spec, output_shift)``.
+    A part of power-of-two weight ``w`` is truncated by ``s = max(0,
+    output_shift - w)`` bits (``pre = 2**-s``) and re-aligned by
+    ``post = 2**(w - output_shift + s)``; parts whose window lies
+    entirely below the SA register get zero for both.
+    """
+    pws = np.array(
+        [
+            [(spec.pin + spec.pw) // 2, spec.pin // 2],
+            [spec.pw // 2, 0],
+        ]
+    )
+    shifts = np.maximum(0, output_shift - pws)
+    active = shifts < spec.part_full_bits
+    pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
+    post = np.where(active, 2.0 ** (pws - output_shift + shifts), 0.0)
+    pre.setflags(write=False)
+    post.setflags(write=False)
+    return pre, post
+
+
+def digitise(counts, pre, post, limit: float, out: np.ndarray) -> np.ndarray:
+    """The sense amp's truncating digitisation, summed over parts.
+
+    ``counts`` is a C-contiguous ``(blocks, 2*n, 2*t)`` or ``(2*n,
+    2*t)`` part-count tensor, overwritten: rows ``[:n]``/``[n:]`` are
+    the high/low drive phase, columns ``[:t]``/``[t:]`` the high/low
+    weight half.  ``out`` (``(n, t)``) receives the sum over blocks and
+    parts.  ``pre``/``post`` are :func:`sa_window` tables, ``None`` for
+    all ones (e.g. a pre-shift folded into the operands).
+
+    ``clip(trunc(c * pre), -limit, limit)`` equals the engine's
+    ``sign * min(floor(|c| / 2**shift), limit)`` bit for bit, for exact
+    and analog counts alike (``pre`` is a power of two).  Digitised
+    values are integers (``post >= 1``), summed in ``counts``' dtype
+    within a block and in ``out``'s across blocks: exact while
+    ``limit * sum(post) * blocks`` fits both — callers check that.
+    """
+    n, t = out.shape
+    counts = counts.reshape(-1, 2 * n, 2 * t)
+    if pre is not None:
+        parts = counts.reshape(-1, 2, n, 2, t)
+        parts *= pre.reshape(2, 1, 2, 1).astype(counts.dtype, copy=False)
+    np.trunc(counts, out=counts)
+    np.clip(counts, -limit, limit, out=counts)
+    if post is not None:
+        parts = counts.reshape(-1, 2, n, 2, t)
+        parts *= post.reshape(2, 1, 2, 1).astype(counts.dtype, copy=False)
+    # Explicit slice adds beat a multi-axis reduce, and by far when t
+    # is narrow (a conv layer's few output channels).
+    hi = counts[:, :n]
+    np.add(hi, counts[:, n:], out=hi)
+    if len(counts) == 1:
+        return np.add(hi[0, :, :t], hi[0, :, t:], out=out)
+    np.add(hi[..., :t], hi[..., t:], out=hi[..., :t])
+    return np.add.reduce(hi[..., :t], axis=0, dtype=out.dtype, out=out)
 
 
 #: Per-thread noise-stream override (see :func:`scoped_noise_stream`).
@@ -150,8 +220,7 @@ class FusedLayerKernel:
         self._w_cat: np.ndarray | None = None
         self._g_pos: np.ndarray | None = None
         self._g_neg: np.ndarray | None = None
-        self._even_idx: np.ndarray | None = None
-        self._odd_idx: np.ndarray | None = None
+        self._half_idx: np.ndarray | None = None
         # Serialises engine-counter charging: the read-only math is
         # re-entrant, but ``engine.mvm_invocations += batch`` is not.
         self._charge_lock = threading.Lock()
@@ -221,13 +290,6 @@ class FusedLayerKernel:
         self._charge(batch, output_shift)
 
     # -- noise stream -------------------------------------------------
-
-    @property
-    def shared_rng(self) -> np.random.Generator | None:
-        """The generator every engine samples read noise from, when
-        all engines share one (the :meth:`can_fuse` requirement for
-        noisy fused calls); ``None`` otherwise."""
-        return self._rng if self._rng_shared else None
 
     def reseed_noise(self, seed: int) -> None:
         """Reset the engines' shared noise stream to ``seed``.
@@ -304,10 +366,20 @@ class FusedLayerKernel:
             return self._per_engine(codes, with_noise, shift)
         self._charge(codes.shape[0], shift)
         if self._noisy(with_noise):
-            planes = self._analog_planes(codes)
-            return self._accumulate(planes, shift)
-        counts = self._integer_counts(codes)
-        return self._accumulate_exact(counts, codes.shape[0], shift)
+            counts = self._analog_counts(codes)
+        else:
+            counts = self._integer_counts(codes)
+        pre, post = sa_window(self.spec, shift)
+        limit = float((1 << self.spec.po) - 1)
+        # digitise sums a block's parts in the count dtype: upcast in
+        # the rare geometry where float32 could not hold them exactly.
+        if (
+            counts.dtype == np.float32
+            and limit * float(post.sum()) >= float(1 << 24)
+        ):
+            counts = counts.astype(np.float64)
+        out = np.empty((codes.shape[0], self.total_cols))
+        return digitise(counts, pre, post, limit, out).astype(np.int64)
 
     def calibrate_output_shift(
         self, codes: np.ndarray, calibration_samples: int = 64
@@ -447,22 +519,24 @@ class FusedLayerKernel:
             self._g_pos, self._g_neg = g_pos, g_neg
         return self._g_pos, self._g_neg
 
-    def _column_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical-column indices of the hi/lo weight bitlines."""
-        if self._even_idx is None:
-            even, odd = [], []
-            for cb, cols in enumerate(self.cols_used):
-                base = cb * self.params.cols
-                lanes = base + 2 * np.arange(cols)
-                even.append(lanes)
-                odd.append(lanes + 1)
-            self._even_idx = np.concatenate(even)
-            self._odd_idx = np.concatenate(odd)
-        return self._even_idx, self._odd_idx
+    def _column_gather(self) -> np.ndarray:
+        """Physical-column indices of the hi then the lo weight
+        bitlines, in the column order of :meth:`_weight_stack`."""
+        if self._half_idx is None:
+            even = np.concatenate(
+                [
+                    cb * self.params.cols + 2 * np.arange(cols)
+                    for cb, cols in enumerate(self.cols_used)
+                ]
+            )
+            self._half_idx = np.concatenate([even, even + 1])
+        return self._half_idx
 
-    def _analog_planes(self, codes: np.ndarray) -> dict[str, np.ndarray]:
+    def _analog_counts(self, codes: np.ndarray) -> np.ndarray:
         """Noisy part counts through the stacked conductance tensors.
 
+        Returns the same ``(row_blocks, 2*batch, 2*total_cols)`` layout
+        as :meth:`_integer_counts`, with float (not integer) counts.
         The read noise for every tile comes from one vectorised draw of
         a Philox stream keyed by a seed pulled once from the engines'
         shared generator: each tile's noise is a fixed slice of that
@@ -474,7 +548,6 @@ class FusedLayerKernel:
         g_pos, g_neg = self._conductance_stacks()
         v_step = dev.v_read / (params.input_levels - 1)
         g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
-        n = codes.shape[0]
         drive = self._stacked_inputs(codes, params.rows)
         sigma = dev.read_noise_sigma
         rng = getattr(_NOISE_TLS, "rng", None)
@@ -487,113 +560,9 @@ class FusedLayerKernel:
         g_p = np.clip(g_pos * (1.0 + sigma * noise[0]), 0.0, None)
         g_n = np.clip(g_neg * (1.0 + sigma * noise[1]), 0.0, None)
         counts = (drive * v_step) @ (g_p - g_n) / (v_step * g_step)
-        counts_hi = counts[:, :n]
-        counts_lo = counts[:, n:]
-        even, odd = self._column_gather()
-        return {
-            "HH": counts_hi[..., even],
-            "LH": counts_hi[..., odd],
-            "HL": counts_lo[..., even],
-            "LL": counts_lo[..., odd],
-        }
+        return counts[..., self._column_gather()]
 
-    # -- digitisation and accounting ----------------------------------
-
-    def _part_weights(self) -> dict[str, int]:
-        """Power-of-two weight of each partial product (engine Eq. 8)."""
-        return {
-            "HH": (self.spec.pin + self.spec.pw) // 2,
-            "LH": self.spec.pin // 2,
-            "HL": self.spec.pw // 2,
-            "LL": 0,
-        }
-
-    def _active_parts(self, output_shift: int) -> int:
-        """Parts the SA digitises (not entirely below the window)."""
-        return sum(
-            1
-            for w_part in self._part_weights().values()
-            if max(0, output_shift - w_part) < self.spec.part_full_bits
-        )
-
-    def _accumulate(
-        self, planes: dict[str, np.ndarray], output_shift: int
-    ) -> np.ndarray:
-        """Vectorised mirror of the engine's ``_accumulate_parts``,
-        applied to all row blocks at once, then summed across them —
-        identical to digitising per tile and summing the tile rows.
-
-        Used by the analog path, whose planes are float; the engine's
-        ``floor(|counts| / 2**shift)`` truncation is kept verbatim.
-        """
-        spec = self.spec
-        limit = (1 << spec.po) - 1
-        total = np.zeros(planes["HH"].shape, dtype=np.int64)
-        for name, w_part in self._part_weights().items():
-            counts = planes[name]
-            shift = max(0, output_shift - w_part)
-            if shift >= spec.part_full_bits:
-                continue
-            sign = np.sign(counts)
-            magnitude = np.floor(np.abs(counts) / float(1 << shift))
-            digital = sign.astype(np.int64) * np.minimum(
-                magnitude, limit
-            ).astype(np.int64)
-            total += digital << (w_part - output_shift + shift)
-        return total.sum(axis=0)
-
-    def _accumulate_exact(
-        self, counts: np.ndarray, batch: int, output_shift: int
-    ) -> np.ndarray:
-        """Digitise the raw count tensor in one broadcast pass.
-
-        ``counts`` is the contiguous ``(row_blocks, 2*batch,
-        2*total_cols)`` tensor from :meth:`_integer_counts`; reshaping
-        it to ``(row_blocks, 2, batch, 2, total_cols)`` exposes the
-        drive phase and weight half as axes, so all four partial
-        products digitise with one abs/floor/clip/scale sweep instead
-        of four strided passes.  Counts are exact float integers, so
-        multiplying by an exact power of two and flooring equals the
-        engine's ``floor(|c| / 2**shift)`` truncation bit for bit.
-        Parts entirely below the SA window get a zero post-scale and
-        vanish, matching the engine's skip.
-        """
-        spec = self.spec
-        limit = float((1 << spec.po) - 1)
-        parts = counts.reshape(
-            self.row_blocks, 2, batch, 2, self.total_cols
-        )
-        # [phase, half] -> power-of-two weight of that partial product
-        pws = np.array(
-            [
-                [(spec.pin + spec.pw) // 2, spec.pin // 2],
-                [spec.pw // 2, 0],
-            ]
-        )
-        shifts = np.maximum(0, output_shift - pws)
-        active = shifts < spec.part_full_bits
-        pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
-        post = np.where(
-            active, 2.0 ** (pws - output_shift + shifts), 0.0
-        )
-        # The digitised per-element total must also stay inside the
-        # float dtype's contiguous-integer range for the sums below to
-        # be exact; upcast in the rare geometry where it would not.
-        if (
-            parts.dtype == np.float32
-            and limit * float(post.sum()) >= float(1 << 24)
-        ):
-            parts = parts.astype(np.float64)
-        pre = pre.reshape(1, 2, 1, 2, 1).astype(parts.dtype)
-        post = post.reshape(1, 2, 1, 2, 1).astype(parts.dtype)
-        magnitude = np.abs(parts)
-        magnitude *= pre
-        np.floor(magnitude, out=magnitude)
-        np.minimum(magnitude, limit, out=magnitude)
-        magnitude *= post
-        np.copysign(magnitude, parts, out=magnitude)
-        total = magnitude.sum(axis=(1, 3))
-        return total.astype(np.int64).sum(axis=0)
+    # -- accounting ---------------------------------------------------
 
     def _charge(self, batch: int, output_shift: int) -> None:
         """Charge the hardware firings the fused math replaced.
@@ -602,7 +571,7 @@ class FusedLayerKernel:
         per input vector, and its SA converts one value per active
         part per used column per vector.
         """
-        active = self._active_parts(output_shift)
+        active = int(np.count_nonzero(sa_window(self.spec, output_shift)[1]))
         with self._charge_lock:
             for row in self.tiles:
                 for engine in row:

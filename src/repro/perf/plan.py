@@ -9,32 +9,47 @@ digitisation constants, and allocate every intermediate afresh.
 :class:`CompiledPlan` lowers a calibrated :class:`ProgrammedLayer`
 chain into a flat step list once, at deploy time:
 
-* weight/conductance stacks are trimmed and cached per layer (full
-  256-row blocks evaluate as one batched matmul; short tail blocks get
-  their own right-sized matmul instead of padding to the block size);
+* each row block gets its own right-sized weight matrix, so short
+  tail blocks never pad to the block size;
 * the frozen calibration formats are baked into scalar constants
-  (``1/resolution``, saturation bounds, per-part digitisation pre/post
-  factors), so no format objects are touched on the hot path;
-* quantisation, the hi/lo drive split, digitisation, and the output
-  scale all run in place on preallocated buffers that persist across
-  chunks and batches of the same width;
-* conv layers gather their im2col patches through a precomputed index
-  map instead of a Python loop over kernel offsets;
+  (``1/resolution``, saturation bounds, the sense amp's pre/post
+  tables), so no format objects are touched on the hot path;
+* at the default operating point (every partial product aligned in
+  the SA window) the SA pre-shift is *folded* into the operands: the
+  weight columns carry ``pre[hi phase, half]`` from compile time, and
+  the quantiser leaves the lo drive phase scaled by ``2**-(pin//2)``
+  (the ratio of the two phases' pre-shifts, which it gets for free),
+  so each row block's matmul yields ``count * pre`` directly;
+* the quantiser writes one float32 drive matrix (hi halves in rows
+  ``[:n]``, lo in ``[n:]``) whose column slices every row block's
+  matmul reads in place; each block is digitised straight after its
+  matmul into one float32 accumulator, scaled to float64 at the end;
+* conv layers quantise the image, then gather float32 codes (bias
+  and sentinel columns included) through a precomputed patch map;
+  their narrow, memory-bound matmuls run in row panels small enough
+  for BLAS to keep on the calling thread;
 * micro-batches (``<= PACKED_MAX_VECS`` vectors) evaluate through a
   *packed* weight stack that fuses the hi/lo weight halves into one
   float32 field pair — halving the streamed weight bytes in the
   latency regime where the matmul is bandwidth-bound.
 
-Exactness: with noise off on ideal arrays every intermediate is an
-integer inside the float dtype's contiguous-integer range (the same
-invariant :class:`FusedLayerKernel` relies on), so the compiled path
-is bit-identical to the fused and per-engine paths.  The packed stack
-keeps two 12-bit-separated integer fields whose dot products stay
-below ``2**24`` per 16-row sub-block, so float32 matmul and ``rint``
-field extraction are exact too.  Layers that cannot take the exact
-inline path (read noise on, resilience-remapped tiles, non-ideal
-arrays) delegate to ``FusedLayerKernel.mvm_batch``, which applies its
-own fused-noisy or per-engine fallback — semantics, seeded noise
+Exactness: with noise off on ideal arrays every count is an integer
+inside the float dtype's contiguous-integer range (the same invariant
+:class:`FusedLayerKernel` relies on).  Folding scales by powers of
+two, and every partial sum of a folded matmul stays a multiple of
+that part's ``pre`` below that bound, so it is exact too.  ``rint`` and
+``clip`` of the input codes run in float64 before narrowing to
+float32 (narrowing first would double-round values near ``k + 0.5``).
+Digitised values are integers, and the float32 accumulator holds
+their sum exactly while ``limit * sum(post) * row_blocks < 2**24``,
+checked at compile time.  So the compiled path is bit-identical to
+the fused and per-engine paths.  The packed stack keeps two
+12-bit-separated integer fields whose dot products stay below
+``2**24`` per 16-row sub-block, so float32 matmul and ``rint`` field
+extraction are exact too.  Layers that cannot take the exact inline
+path (read noise on, resilience-remapped tiles, non-ideal arrays)
+delegate to ``FusedLayerKernel.mvm_batch``, which applies its own
+fused-noisy or per-engine fallback — semantics, seeded noise
 reproducibility, and telemetry counters are preserved in every case.
 
 ``PRIME_PLAN_COMPILE=0`` disables compilation (the executor falls back
@@ -54,6 +69,7 @@ from repro import telemetry
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
+from repro.perf.kernels import digitise, sa_window
 
 __all__ = [
     "plan_compile_enabled",
@@ -79,6 +95,10 @@ PACKED_FIELD_BITS = 12
 PACKED_MAX_VECS = 2
 #: Buffer sets cached per weight step (one per distinct batch width).
 _MAX_BUFFER_SETS = 8
+#: A row block whose panels of ``_PANEL_MACS`` (a GEMM OpenBLAS keeps
+#: on the calling thread) hold ``_PANEL_MIN_ROWS`` rows multiplies in
+#: such panels (see :meth:`_WeightStep._digitise_blocks`).
+_PANEL_MACS, _PANEL_MIN_ROWS = 1 << 18, 256
 
 
 class PlanFallbackWarning(RuntimeWarning):
@@ -151,7 +171,7 @@ class _ForwardStep:
 class _WeightStep:
     """One mapped weight layer, lowered to preallocated array math.
 
-    Two execution paths share the precomputed quantisation front end:
+    Two execution paths:
 
     * ``inline`` — the exact noise-free count-domain math, fully in
       place (requires :meth:`FusedLayerKernel.can_fuse` for the
@@ -189,54 +209,38 @@ class _WeightStep:
         self.t = kernel.total_cols
         self.rb = kernel.row_blocks
         self.rows_used = list(kernel.rows_used)
-        self.rmax = max(self.rows_used)
         self.total_rows = kernel.total_rows
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
-        # Digitisation constants (engine Eq. 8): [phase, half] part
-        # weights -> SA pre-shift and post-scale, zero for parts whose
-        # window lies entirely below the SA register.
-        pws = np.array(
-            [
-                [(spec.pin + spec.pw) // 2, spec.pin // 2],
-                [spec.pw // 2, 0],
-            ]
-        )
-        shifts = np.maximum(0, self.shift - pws)
-        active = shifts < spec.part_full_bits
-        self.pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
-        self.post = np.where(active, 2.0 ** (pws - self.shift + shifts), 0.0)
-        self.post_is_one = bool(active.all() and np.all(self.post == 1.0))
-        self.limit = float((1 << spec.po) - 1)
-        # Inline exactness: the noise-free fused regime, plus every
-        # digitised value representable in the count dtype.
         w_cat = kernel.weight_stack()
         self.cdtype = w_cat.dtype
-        elem_ok = (
+        self.pre, self.post = (
+            table.astype(self.cdtype) for table in sa_window(spec, self.shift)
+        )
+        self.limit = float((1 << spec.po) - 1)
+        # Inline exactness: the noise-free fused regime, plus digitised
+        # sums (accumulated in the count dtype) that stay integers
+        # inside its contiguous-integer range (see digitise).
+        sum_ok = (
             self.cdtype != np.float32
-            or self.limit * float(self.post.max()) < float(1 << 24)
+            or self.limit * float(self.post.sum()) * self.rb
+            < float(1 << 24)
         )
-        self.inline_ok = kernel.can_fuse(with_noise=False) and elem_ok
-        self.pre_c = self.pre.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
-        self.post_c = self.post.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
-        # Trimmed stacks: full-height blocks batch into one tensor,
-        # short tail blocks keep their own right-sized matrices.
-        self.full_idx = [
-            i for i, r in enumerate(self.rows_used) if r == self.rmax
-        ]
-        self.tail_idx = [
-            i for i, r in enumerate(self.rows_used) if r != self.rmax
-        ]
-        self.w_full = (
-            np.ascontiguousarray(w_cat[self.full_idx])
-            if self.full_idx
-            else None
-        )
-        self.w_tails = [
-            np.ascontiguousarray(w_cat[i, : self.rows_used[i]])
-            for i in self.tail_idx
-        ]
+        self.inline_ok = kernel.can_fuse(with_noise=False) and sum_ok
+        # Folded SA pre-shift (see the module docstring): with every
+        # part aligned (post == 1), pre[lo, half] = pre[hi, half] *
+        # 2**-(pin//2) (pin and pw are even), so weight columns carry
+        # pre[hi, half] and the lo drive phase 2**-(pin//2).
+        self.folded = bool(np.all(self.post == 1.0))
+        self.pre_rest = None if self.folded else self.pre
+        self.post_rest = None if self.folded else self.post
+        # Per row block, the (rows, 2*t) matrix its matmul reads;
+        # unfolded ones are views of the kernel's stack.
+        self.w_blocks = [w_cat[i, :r] for i, r in enumerate(self.rows_used)]
+        if self.folded:
+            cols = np.repeat(self.pre[0], self.t)
+            self.w_blocks = [w * cols for w in self.w_blocks]
         self._w_ref = w_cat
         # Packed micro-batch stack, built lazily on first use.
         in_max = (1 << (spec.pin - spec.pin // 2)) - 1
@@ -257,8 +261,8 @@ class _WeightStep:
         # along the packed axis.
         self.sub_offs = np.cumsum([0] + self.sub_counts)
         # Gather map from packed (sub_block, row) position to a column
-        # of the quantised drive matrix; tail padding points at the
-        # all-zero sentinel column appended after the bias row.
+        # of the drive matrix; tail padding points at the all-zero
+        # sentinel column appended after the bias row.
         gather = np.full(self.S * PACKED_SUB_ROWS, self.total_rows)
         pos = 0
         for i in range(self.rb):
@@ -316,36 +320,63 @@ class _WeightStep:
             self._w_pack = w_pack
         return self._w_pack
 
-    def _buffer_set(self, n: int, packed: bool, store: dict) -> dict:
-        """Preallocated working set for ``n`` input vectors.
+    def _buffer_set(self, shape: tuple, n: int, store: dict) -> dict:
+        """Preallocated working set for inputs of ``shape`` (``n`` drive
+        vectors).
 
         ``store`` is this step's slot in the executing lease's
         :class:`PlanWorkspace` — never shared between concurrent
         executions, so everything below may be written in place.
+        Widths up to ``PACKED_MAX_VECS`` take the packed stack (which
+        needs unscaled drive halves); wider ones the folded stacks.
         """
-        buffers = store.get(n)
-        if buffers is None:
-            if len(store) >= _MAX_BUFFER_SETS:
-                store.pop(next(iter(store)))
-            # One extra column past the bias row: the all-zero sentinel
-            # the packed gather map points tail padding at.  It stays
-            # zero forever (quantising zero yields zero halves).
-            width = self.total_rows + 1
-            buffers = {
-                "vecs": np.empty((n, width)),
-                "q": np.empty((n, width)),
-                "hi": np.empty((n, width)),
-                "lo": np.empty((n, width)),
-                "counts": np.empty(
-                    (self.rb, 2 * n, 2 * self.t), dtype=self.cdtype
-                ),
-                "acc": np.empty((n, 2 * self.t)),
-                "out": np.empty((n, self.t)),
-            }
-            buffers["vecs"][:, -2] = 1.0
-            buffers["vecs"][:, -1] = 0.0
-            store[n] = buffers
-        if packed and "drive_pack" not in buffers:
+        buffers = store.get(shape)
+        if buffers is not None:
+            return buffers
+        if len(store) >= _MAX_BUFFER_SETS:
+            store.pop(next(iter(store)))
+        packed = self.packed_ok and n <= PACKED_MAX_VECS
+        fold = self.folded and not packed
+        k = self.total_rows - 1
+        # Rows [:n] drive the hi input halves, [n:] the lo halves.  One
+        # extra column past the bias row: the all-zero sentinel the
+        # packed gather map points tail padding at.
+        drive = np.zeros((2 * n, k + 2), dtype=self.cdtype)
+        ones = np.ones((n, 1))
+        self._quantise(
+            ones, ones.copy(), drive[:n, k : k + 1], drive[n:, k : k + 1],
+            fold,
+        )
+        buffers = {
+            "packed": packed,
+            "fold": fold,
+            "drive": drive,
+            # Where the quantiser writes the hi/lo halves of an input.
+            "halves": (drive[:n, :k], drive[n:, :k]),
+            "q": np.empty(shape),
+            "block": np.empty((2 * n, 2 * self.t), dtype=self.cdtype),
+            "part": np.empty((n, self.t), dtype=self.cdtype),
+            "acc": np.empty((n, self.t), dtype=self.cdtype),
+            "out": np.empty((n, self.t)),
+        }
+        if self.is_conv:
+            # The image's hi (rows [:b]) and lo ([b:]) halves, padded
+            # and flattened, then the bias and zero-sentinel slots that
+            # the patch map gathers as the last two drive columns.
+            b, h, w, c = shape
+            p = self.layer.pad
+            img = np.zeros(
+                (2 * b, (h + 2 * p) * (w + 2 * p) * c + 2), dtype=self.cdtype
+            )
+            img[:, -2] = np.repeat(drive[[0, n], k], b)
+            inner = img[:, :-2].reshape(2, b, h + 2 * p, w + 2 * p, c)
+            inner = inner[:, :, p : p + h, p : p + w]
+            buffers["img"] = img
+            buffers["halves"] = (inner[0], inner[1])
+        if packed:
+            buffers["counts"] = np.empty(
+                (self.rb, 2 * n, 2 * self.t), dtype=np.float32
+            )
             buffers["drive_pack"] = np.empty(
                 (self.S, 2 * n, PACKED_SUB_ROWS), dtype=np.float32
             )
@@ -354,18 +385,23 @@ class _WeightStep:
             )
             buffers["a_pack"] = np.empty_like(buffers["v_pack"])
             buffers["red_tmp"] = np.empty(2 * n * self.t, dtype=np.float32)
-        if not packed and "drive_full" not in buffers:
-            buffers["drive_full"] = np.empty(
-                (len(self.full_idx), 2 * n, self.rmax), dtype=self.cdtype
+            # Per drive-phase row: the hi and lo halves' SA pre-shift,
+            # the lo one with the pack scale P folded in.
+            phase = np.repeat(np.arange(2), n)
+            buffers["pack_pre"] = (
+                self.pre[phase, :1],
+                self.pre[phase, 1:] * self.pack_scale,
             )
-            buffers["drive_tails"] = [
-                np.empty((2 * n, self.rows_used[i]), dtype=self.cdtype)
-                for i in self.tail_idx
-            ]
+        store[shape] = buffers
         return buffers
 
     def _im2col_map(self, shape: tuple) -> tuple:
-        """Precomputed patch-gather index map for one input geometry."""
+        """Precomputed patch-gather index map for one input geometry.
+
+        Indexes a padded sample flattened and extended by two slots
+        (bias, zero sentinel) — one drive row of ``total_rows + 1``
+        columns per output pixel.
+        """
         cached = self._im2col.get(shape)
         if cached is None:
             h, w, c = shape
@@ -380,6 +416,14 @@ class _WeightStep:
             dj = np.arange(k)[None, None, None, :, None]
             ch = np.arange(c)[None, None, None, None, :]
             idx = ((i0 + di) * wp + (j0 + dj)) * c + ch
+            slots = hp * wp * c + np.arange(2)
+            idx = np.concatenate(
+                [
+                    idx.reshape(oh * ow, -1),
+                    np.broadcast_to(slots, (oh * ow, 2)),
+                ],
+                axis=1,
+            )
             cached = (idx.reshape(-1), oh, ow)
             self._im2col[shape] = cached
         return cached
@@ -399,174 +443,168 @@ class _WeightStep:
     def _run(
         self, act: np.ndarray, with_noise: bool, store: dict
     ) -> np.ndarray:
-        spatial = None
         if self.is_conv:
             if act.ndim != 4:
                 raise ExecutionError(
                     f"conv layer expects image activations, got "
                     f"{act.shape}"
                 )
-            idx, oh, ow = self._im2col_map(act.shape[1:])
-            if self.layer.pad:
-                p = self.layer.pad
-                act = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
-            b = act.shape[0]
-            vectors = act.reshape(b, -1)[:, idx].reshape(b * oh * ow, -1)
-            spatial = (b, oh, ow)
-        else:
-            if act.ndim != 2:
-                act = act.reshape(act.shape[0], -1)
-            vectors = act
+        elif act.ndim != 2:
+            act = act.reshape(act.shape[0], -1)
         inline = self.inline_ok and not (
             with_noise and self.kernel._noisy(True)
         )
-        if not inline:
-            result = self._delegate(vectors, with_noise, store)
+        if inline:
+            result = self._inline(act, store)
         else:
-            result = self._inline(vectors, store)
-        if spatial is not None:
-            b, oh, ow = spatial
-            result = result.reshape(b, oh, ow, -1)
+            result = self._delegate(act, with_noise)
+        if self.is_conv:
+            _, oh, ow = self._im2col_map(act.shape[1:])
+            result = result.reshape(act.shape[0], oh, ow, -1)
         return result
 
-    def _delegate(self, vectors: np.ndarray, with_noise: bool, store: dict):
-        """The interpreter's math (kernel dispatch included), with the
-        bias column staged through the persistent buffer."""
-        n = vectors.shape[0]
-        buffers = self._buffer_set(n, packed=False, store=store)
-        vecs = buffers["vecs"]
-        vecs[:, : self.total_rows - 1] = vectors
-        codes = self.in_fmt.quantize_int(
-            np.clip(vecs[:, : self.total_rows], 0.0, None)
-        )
+    def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
+        """The interpreter's math (kernel dispatch included), on codes
+        quantised before the patch gather like the inline path."""
+        b = act.shape[0]
+        codes = self.in_fmt.quantize_int(np.clip(act, 0.0, None))
+        if self.is_conv:
+            p = self.layer.pad
+            codes = np.pad(codes, ((0, 0), (p, p), (p, p), (0, 0)))
+        rows = np.zeros((b, codes[0].size + 2), dtype=np.int64)
+        rows[:, :-2] = codes.reshape(b, -1)
+        rows[:, -2] = self.in_fmt.quantize_int(np.ones(1))[0]
+        if self.is_conv:
+            idx, _, _ = self._im2col_map(act.shape[1:])
+            rows = rows[:, idx].reshape(-1, self.total_rows + 1)
         outputs = self.kernel.mvm_batch(
-            codes, with_noise=with_noise, output_shift=self.shift
+            rows[:, : self.total_rows],
+            with_noise=with_noise,
+            output_shift=self.shift,
         )
         return outputs * self.scale
 
-    def _quantize_split(self, vectors: np.ndarray, buffers: dict):
-        """Fused quantise -> hi/lo drive halves, no int64 round trip.
+    def _quantise(self, x, q, hi, lo, fold: bool) -> None:
+        """Quantise ``x`` straight into the hi/lo drive halves.
 
         Bit-identical to ``in_fmt.quantize_int`` + ``split_unsigned``:
-        the resolution is a power of two (exact scaling), rint/floor on
-        exact float integers match the integer shifts, and clipping
-        after rounding equals clipping before (negatives round toward
-        zero either way).
+        the resolution is a power of two, clipping after rounding
+        equals clipping before, and with ``c = code / 2**(pin//2)``
+        (exact) ``floor(c)`` is the hi half and ``c - floor(c)`` the lo
+        half times ``2**-(pin//2)`` — the folded lo drive scale, undone
+        unless ``fold``.  ``rint`` runs on the float64 scratch ``q``
+        before the codes narrow into the drive dtype (see the module
+        docstring).
         """
-        vecs = buffers["vecs"]
-        vecs[:, : self.total_rows - 1] = vectors
-        q = buffers["q"]
-        np.multiply(vecs, self.inv_in_res, out=q)
+        np.multiply(x, self.inv_in_res, out=q)
         np.rint(q, out=q)
         np.clip(q, 0.0, self.code_max, out=q)
-        hi, lo = buffers["hi"], buffers["lo"]
-        np.multiply(q, self.inv_lo_div, out=hi)
-        np.floor(hi, out=hi)
-        np.multiply(hi, -self.lo_div, out=lo)
-        lo += q
-        return hi, lo
+        np.multiply(q, self.inv_lo_div, out=lo)
+        np.floor(lo, out=hi)
+        lo -= hi
+        if not fold:
+            lo *= self.lo_div
 
-    def _inline(self, vectors: np.ndarray, store: dict) -> np.ndarray:
-        n = vectors.shape[0]
-        packed = self.packed_ok and n <= PACKED_MAX_VECS
-        buffers = self._buffer_set(n, packed, store=store)
-        hi, lo = self._quantize_split(vectors, buffers)
-        counts = buffers["counts"]
-        if packed:
-            self._packed_counts(hi, lo, counts, buffers, n)
-        else:
-            self._trimmed_counts(hi, lo, counts, buffers, n)
-        self.kernel.charge(n, self.shift)
-        return self._digitise(counts, buffers, n)
-
-    def _trimmed_counts(self, hi, lo, counts, buffers, n: int) -> None:
-        """Count planes via the trimmed full/tail weight stacks."""
-        drive = buffers["drive_full"]
-        for j, i in enumerate(self.full_idx):
-            off = self.offs[i]
-            drive[j, :n] = hi[:, off : off + self.rmax]
-            drive[j, n:] = lo[:, off : off + self.rmax]
-        if self.full_idx:
-            np.matmul(drive, self.w_full, out=counts[: len(self.full_idx)])
-        for j, i in enumerate(self.tail_idx):
-            off = self.offs[i]
-            rows = self.rows_used[i]
-            tail = buffers["drive_tails"][j]
-            tail[:n] = hi[:, off : off + rows]
-            tail[n:] = lo[:, off : off + rows]
-            np.matmul(
-                tail,
-                self.w_tails[j],
-                out=counts[len(self.full_idx) + j],
+    def _inline(self, act: np.ndarray, store: dict) -> np.ndarray:
+        n = act.shape[0]
+        if self.is_conv:
+            idx, oh, ow = self._im2col_map(act.shape[1:])
+            n *= oh * ow
+        buffers = self._buffer_set(act.shape, n, store)
+        drive = buffers["drive"]
+        self._quantise(
+            act, buffers["q"], *buffers["halves"], buffers["fold"]
+        )
+        if self.is_conv:
+            # Quantising the image before the patch gather equals
+            # quantising the gathered patches (elementwise, and zero
+            # padding quantises to zero), on ~k*k fewer values.
+            img = buffers["img"]
+            np.take(
+                img, idx, axis=1, out=drive.reshape(len(img), -1),
+                mode="clip",
             )
+        out = buffers["out"]
+        if buffers["packed"]:
+            self._packed_counts(drive, buffers, n)
+            digitise(buffers["counts"], None, self.post_rest, self.limit, out)
+            out *= self.scale
+        else:
+            self._digitise_blocks(drive, buffers)
+            np.multiply(buffers["acc"], self.scale, out=out, dtype=np.float64)
+        self.kernel.charge(n, self.shift)
+        return out
 
-    def _packed_counts(self, hi, lo, counts, buffers, n: int) -> None:
-        """Count planes via the packed micro-batch stack.
+    def _digitise_blocks(self, drive, buffers) -> None:
+        """Per row block: matmul against its weight stack (reading a
+        column slice of the drive in place), then digitise straight
+        away, summing into ``acc``.
+
+        A narrow block (a conv layer's few output channels) is a
+        memory-bound GEMM that a second BLAS thread barely speeds up but
+        makes wait for a second core.  With that core busy (2-vCPU VM),
+        CNN-1 batch 64 took a median 8.9 / 8.1 ms per call in row panels
+        against 13.6 / 8.5 ms threaded in two interleaved runs, and the
+        same when idle.  Exact counts make any split exact.
+        """
+        block, acc, part = buffers["block"], buffers["acc"], buffers["part"]
+        pre, post = self.pre_rest, self.post_rest
+        for i, w in enumerate(self.w_blocks):
+            off = self.offs[i]
+            rows = drive[:, off : off + self.rows_used[i]]
+            panel = _PANEL_MACS // w.size
+            if panel < _PANEL_MIN_ROWS:
+                panel = len(rows)
+            for r in range(0, len(rows), panel):
+                np.matmul(rows[r : r + panel], w, out=block[r : r + panel])
+            if i == 0:
+                digitise(block, pre, post, self.limit, acc)
+            else:
+                acc += digitise(block, pre, post, self.limit, part)
+
+    def _packed_counts(self, drive, buffers, n: int) -> None:
+        """Pre-shifted count planes via the packed micro-batch stack.
 
         The row-block order of ``counts`` matches the layer layout;
         only the field extraction differs from the trimmed path, and
-        every step is exact (see :meth:`_packed_stack`).
+        every step is exact (see :meth:`_packed_stack`).  The SA
+        pre-shift is applied as the sub-block sums are stored, so
+        :func:`digitise` gets ``count * pre`` as from folded stacks.
         """
         w_pack = self._packed_stack()
         sub = PACKED_SUB_ROWS
-        drive = buffers["drive_pack"]
-        gather = self.pack_gather
-        drive[:, :n] = (
-            hi[:, gather].reshape(n, self.S, sub).transpose(1, 0, 2)
+        dp = buffers["drive_pack"]
+        dp[...] = (
+            drive[:, self.pack_gather]
+            .reshape(2 * n, self.S, sub)
+            .transpose(1, 0, 2)
         )
-        drive[:, n:] = (
-            lo[:, gather].reshape(n, self.S, sub).transpose(1, 0, 2)
-        )
+        counts = buffers["counts"]
         v = buffers["v_pack"]
         a = buffers["a_pack"]
         tmp = buffers["red_tmp"]
+        pre_hi, pre_lo = buffers["pack_pre"]
         t = self.t
         # Per row block, while the segment is cache-hot: packed matmul,
         # three-pass field extraction (a <- v / P, v <- rint(a) = the
         # hi field A, a <- a - v = B / P, exact: B spans 11 bits
         # against P = 2**12, and partial sums of at most 16 sub-block
         # terms stay inside float32's exact dyadic range), then a
-        # ones-vector GEMV sums the sub-blocks.  The P restore folds
-        # into the reduced array, which is 16x smaller.
+        # ones-vector GEMV sums the sub-blocks.  The P restore and the
+        # pre-shift fold into storing the reduced array, 16x smaller.
         for i in range(self.rb):
             s0, s1 = self.sub_offs[i], self.sub_offs[i + 1]
             sc = s1 - s0
             vs = v[s0:s1]
             a_s = a[s0:s1]
-            np.matmul(drive[s0:s1], w_pack[s0:s1], out=vs)
+            np.matmul(dp[s0:s1], w_pack[s0:s1], out=vs)
             np.multiply(vs, 1.0 / self.pack_scale, out=a_s)
             np.rint(a_s, out=vs)
             a_s -= vs
             np.dot(self.pack_ones[:sc], vs.reshape(sc, -1), out=tmp)
-            counts[i, :, :t] = tmp.reshape(2 * n, t)
+            np.multiply(tmp.reshape(2 * n, t), pre_hi, out=counts[i, :, :t])
             np.dot(self.pack_ones[:sc], a_s.reshape(sc, -1), out=tmp)
-            counts[i, :, t:] = tmp.reshape(2 * n, t)
-        counts[:, :, t:] *= self.pack_scale
-
-    def _digitise(self, counts, buffers, n: int) -> np.ndarray:
-        """In-place SA digitisation with the output scale folded in.
-
-        ``clip(trunc(c * pre), -limit, limit)`` equals the engine's
-        ``sign * min(floor(|c| / 2**shift), limit)`` (truncation toward
-        zero), and the float32 products/partial sums stay exact by the
-        compile-time bounds, so accumulating the planes into a float64
-        buffer reproduces the interpreter's int64 totals bit for bit.
-        """
-        parts = counts.reshape(self.rb, 2, n, 2, self.t)
-        parts *= self.pre_c
-        np.trunc(parts, out=parts)
-        np.clip(parts, -self.limit, self.limit, out=parts)
-        if not self.post_is_one:
-            parts *= self.post_c
-        acc = buffers["acc"]
-        np.add.reduce(
-            counts.reshape(self.rb * 2, n, 2 * self.t), axis=0, out=acc
-        )
-        out = buffers["out"]
-        t = self.t
-        np.add(acc[:, :t], acc[:, t:], out=out)
-        out *= self.scale
-        return out
+            np.multiply(tmp.reshape(2 * n, t), pre_lo, out=counts[i, :, t:])
 
 
 class CompiledPlan:

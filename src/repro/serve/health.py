@@ -12,9 +12,9 @@ runtime threads those failures through:
   retries with exponential backoff, latency-outlier quarantine,
   restart budgets, and the drift-probe cadence/threshold.
 * :class:`ReplicaHealthMonitor` — per-replica liveness bookkeeping:
-  consecutive-failure counts, an EMA latency baseline for outlier
-  detection, quarantine/revive/retire state, and the routable set the
-  dispatcher round-robins over.
+  consecutive-failure counts, per-batch-size EMA latency baselines for
+  outlier detection, quarantine/revive/retire state, and the routable
+  set the dispatcher round-robins over.
 * :class:`FaultPlan` / :class:`FaultEvent` — the seeded chaos harness:
   worker kills, hangs (sleep injection), slow replicas, and conductance
   drift scheduled at fixed micro-batch indices, so chaos tests are a
@@ -175,9 +175,11 @@ class ReplicaHealth:
     suspect_count: int = 0
     #: Restarts consumed from the per-replica budget.
     restarts: int = 0
-    #: EMA of worker-measured execution seconds (the outlier baseline);
-    #: 0.0 until the first batch completes.
-    ema_exec_s: float = 0.0
+    #: EMA of worker-measured execution seconds (the outlier
+    #: baseline) per power-of-two batch-size bucket, keyed
+    #: ``floor(log2(batch))``; a bucket is absent until its first
+    #: batch completes.
+    ema_exec_s: dict = field(default_factory=dict)
     #: Most recent drift-probe distance.
     last_drift: float = 0.0
 
@@ -219,27 +221,30 @@ class ReplicaHealthMonitor:
 
     # -- outcomes -------------------------------------------------------
 
-    def record_success(self, replica: int, exec_s: float) -> bool:
-        """Record a completed batch; True when the replica just crossed
-        the consecutive-outlier limit and should be restarted.
+    def record_success(
+        self, replica: int, exec_s: float, batch: int = 1
+    ) -> bool:
+        """Record a completed batch of ``batch`` requests; True when the
+        replica just crossed the consecutive-outlier limit and should
+        be restarted.
 
-        The EMA baseline only absorbs non-outlier observations, so one
-        slow batch cannot drag the baseline up and mask the next.
+        A batch is judged against its own batch-size bucket's EMA, so
+        a wide batch after batch-1 traffic is no outlier for its width.
+        The EMA only absorbs non-outlier observations, so one slow
+        batch cannot drag the baseline up and mask the next.
         """
         r = self.replicas[replica]
         p = self.policy
-        outlier = (
-            r.ema_exec_s > 0.0
-            and exec_s > p.latency_outlier_factor * r.ema_exec_s
-        )
-        if outlier:
+        bucket = max(batch, 1).bit_length() - 1  # floor(log2(batch))
+        ema = r.ema_exec_s.get(bucket)
+        if ema is not None and exec_s > p.latency_outlier_factor * ema:
             r.suspect_count += 1
             return r.suspect_count >= p.suspect_limit
         r.suspect_count = 0
-        if r.ema_exec_s == 0.0:
-            r.ema_exec_s = exec_s
+        if ema is None:
+            r.ema_exec_s[bucket] = exec_s
         else:
-            r.ema_exec_s += self.EMA_ALPHA * (exec_s - r.ema_exec_s)
+            r.ema_exec_s[bucket] = ema + self.EMA_ALPHA * (exec_s - ema)
         return False
 
     def record_failure(self, replica: int, reason: str) -> None:
@@ -267,7 +272,7 @@ class ReplicaHealthMonitor:
         r.retired = False
         r.suspect_count = 0
         r.restarts += 1
-        r.ema_exec_s = 0.0
+        r.ema_exec_s = {}
         r.last_drift = 0.0
 
     def retire(self, replica: int) -> None:

@@ -558,7 +558,7 @@ class ServingRuntime:
         restart_outlier = False
         if entry.replica < len(self.monitor.replicas):
             restart_outlier = self.monitor.record_success(
-                entry.replica, envelope.execute_ns / 1e9
+                entry.replica, envelope.execute_ns / 1e9, len(entry.batch)
             )
         self.busy_ns += envelope.execute_ns
         now = self.batcher.clock()

@@ -150,9 +150,33 @@ class TestReplicaHealthMonitor:
     def test_outliers_do_not_poison_the_ema(self):
         monitor = ReplicaHealthMonitor(1, HealthPolicy())
         monitor.record_success(0, 1.0)
-        baseline = monitor.replicas[0].ema_exec_s
+        baseline = dict(monitor.replicas[0].ema_exec_s)
         monitor.record_success(0, 1000.0)  # outlier
         assert monitor.replicas[0].ema_exec_s == baseline
+
+    def test_wide_batches_after_small_ones_are_not_outliers(self):
+        """Batch-1 traffic then 256-vector batches 60x slower: each
+        batch is judged against its own size bucket, so nothing is
+        suspected, restarted or retired."""
+        policy = HealthPolicy(suspect_limit=1, max_restarts_per_replica=0)
+        monitor = ReplicaHealthMonitor(1, policy)
+        for _ in range(20):
+            assert monitor.record_success(0, 0.001, batch=1) is False
+        for _ in range(10):
+            assert monitor.record_success(0, 0.060, batch=256) is False
+            assert monitor.record_success(0, 0.001, batch=1) is False
+        r = monitor.replicas[0]
+        assert r.suspect_count == 0
+        assert set(r.ema_exec_s) == {0, 8}
+        assert r.ema_exec_s[8] == pytest.approx(0.060)
+
+    def test_bucket_baseline_still_flags_slow_batches(self):
+        monitor = ReplicaHealthMonitor(1, HealthPolicy(suspect_limit=2))
+        monitor.record_success(0, 0.001, batch=1)
+        monitor.record_success(0, 0.060, batch=200)
+        # Same bucket as 200 (128..255): 10x its baseline is suspect.
+        assert monitor.record_success(0, 1.0, batch=255) is False
+        assert monitor.record_success(0, 1.0, batch=130) is True
 
     def test_restart_budget_then_retire(self):
         policy = HealthPolicy(max_restarts_per_replica=2)
@@ -396,6 +420,67 @@ class TestLatencyOutliers:
             assert runtime.restarts[0].replica == 0
         # Slow faults only inflate the *reported* execution time;
         # results are untouched.
+        np.testing.assert_array_equal(served, reference)
+
+
+    def test_batch_size_change_does_not_restart(self, network, samples):
+        """Batch-1 traffic, then one 40-wide batch whose execution is
+        reported 50 ms long (a ``slow`` event stands in for the real
+        cost of a wide batch on a large network — far above 10x the
+        sub-millisecond singles).  With one EMA per replica that read
+        as an outlier and restarted the replica; the wide batch now
+        seeds its own bucket and is never judged against the singles.
+        """
+        # Fresh indices 0-3 are singles (two per replica); index 4 is
+        # the wide batch, on replica 0.
+        plan = FaultPlan.of(
+            FaultEvent(batch_index=4, kind="slow", duration_s=0.05)
+        )
+        many = np.random.default_rng(4).standard_normal((40, 24))
+        with _runtime(
+            network,
+            samples,
+            serve=dict(max_batch=64),
+            health=HealthPolicy(suspect_limit=1, **FAST),
+            fault_plan=plan,
+        ) as runtime:
+            singles = []
+            for x in many[:4]:
+                singles.append(runtime.submit(x))
+                runtime.pump(flush=True)
+            wide = [runtime.submit(x) for x in many]
+            runtime.pump(flush=True)
+            assert plan.remaining == 0
+            assert runtime.restarts == []
+            served = np.stack([r.result for r in singles + wide])
+            reference = runtime.reference(np.concatenate([many[:4], many]))
+        np.testing.assert_array_equal(served, reference)
+
+    def test_slow_wide_batches_still_quarantine(self, network, samples):
+        """Seeded slow faults on wide batches trip the outlier restart
+        once the wide bucket has a baseline, after batch-1 traffic."""
+        # Fresh indices 0-5 are singles, 6-10 are 8-wide batches;
+        # round-robin puts 6 (the bucket's seed), 8 and 10 on replica 0.
+        plan = FaultPlan.of(
+            FaultEvent(batch_index=8, kind="slow", duration_s=30.0),
+            FaultEvent(batch_index=10, kind="slow", duration_s=30.0),
+        )
+        many = np.random.default_rng(5).standard_normal((40, 24))
+        with _runtime(
+            network,
+            samples,
+            serve=dict(max_batch=8),
+            health=HealthPolicy(suspect_limit=2, **FAST),
+            fault_plan=plan,
+        ) as runtime:
+            for x in many[:6]:
+                runtime.submit(x)
+                runtime.pump(flush=True)
+            served = runtime.serve(many)
+            reference = runtime.reference(many)
+            assert plan.remaining == 0
+            assert [e.reason for e in runtime.restarts] == ["outlier"]
+            assert runtime.restarts[0].replica == 0
         np.testing.assert_array_equal(served, reference)
 
 
