@@ -10,8 +10,8 @@ lives:
 * **Goodput** — cold-start-to-drain requests/s at micro-batch <= 4
   (deploy + serve 256 requests on 2 replicas).  Thread mode must
   sustain >= 1.5x process mode: both drain at the same steady rate
-  (the GIL serialises the fused kernels, and the slab path makes
-  process IPC cheap), so the ratio is carried by programming once
+  (the GIL serialises the fused kernels, and pickling a small
+  micro-batch costs microseconds), so the ratio is carried by programming once
   instead of once per replica — exactly the tentpole's claim.
 * **Scale-up latency** — measured ``scale_to`` cost 1 -> 2 replicas.
   Thread grow allocates scratch buffers; process grow forks and
@@ -64,7 +64,7 @@ def _cold_to_drain(workload, mode: str) -> SimpleNamespace:
 
     Cold-start goodput is the number the tentpole's one-programmed-copy
     economy moves: steady-state drain rates are mode-independent here
-    (GIL-serialised kernels, slab IPC), but thread mode programs once
+    (GIL-serialised kernels, cheap pickled IPC), but thread mode programs once
     where process mode programs once per replica.
     """
     topology, net, samples = workload

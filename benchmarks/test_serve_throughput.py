@@ -203,84 +203,3 @@ def test_serve_speedup_over_sequential(runtime, sequential, workload):
     finally:
         telemetry.disable()
 
-
-def test_shm_pickle_crossover(workload):
-    """Payload-transport micro-bench: shared-memory slabs vs pickling.
-
-    Times one full batch transfer per transport — pickle is a
-    ``dumps`` + ``loads`` round trip (what the pool pipe does on each
-    side), shm is a slot stage + coordinator copy-out — across batch
-    sizes up to the default ``max_batch`` cap, and reports the
-    crossover batch where the slab path is clearly (>= 1.2x) cheaper.
-    Gated only loosely: the absolute numbers are machine-dependent,
-    the shape is not — mid-sized payloads pay pickle's buffer
-    allocation and bytes-object churn (slabs reuse mapped pages), and
-    at the cap both transports converge on the same memcpy floor.
-    The slab path's structural wins — bounded coordinator memory and
-    no per-batch allocation — don't show in this isolated timing.
-    """
-    import pickle
-
-    from repro.serve.dispatcher import _SlabPool
-
-    topology, _, samples = workload
-    features = int(np.prod(topology.input_shape))
-    cap = ServeConfig().max_batch_cap
-    pool = _SlabPool(
-        replicas=1,
-        slots=2,
-        in_bytes=cap * features * 8,
-        out_bytes=cap * features * 8,
-    )
-
-    def best(fn, repeats=20):
-        wall = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            wall = min(wall, time.perf_counter() - start)
-        return wall
-
-    crossover = None
-    ratios = []
-    print()
-    print(f"{'batch':>6} {'pickle_us':>10} {'shm_us':>8} {'ratio':>6}")
-    try:
-        for n in (1, 2, 4, 8, 16, 64, cap):
-            batch = np.ascontiguousarray(samples[:n])
-
-            def via_pickle():
-                pickle.loads(
-                    pickle.dumps(
-                        batch, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                )
-
-            def via_shm():
-                key = pool.acquire()
-                ref, _slot = pool.stage(key, batch)
-                pool.view(ref).copy()
-                pool.release(*key)
-
-            pkl_wall = best(via_pickle)
-            shm_wall = best(via_shm)
-            ratio = pkl_wall / shm_wall
-            print(
-                f"{n:>6} {pkl_wall * 1e6:>10.1f} "
-                f"{shm_wall * 1e6:>8.1f} {ratio:>6.2f}"
-            )
-            ratios.append(ratio)
-            if crossover is None and ratio >= 1.2:
-                crossover = n
-    finally:
-        pool.close()
-    print(f"shm >= 1.2x cheaper from batch {crossover}")
-    assert max(ratios) >= 1.2, (
-        "slab transport never clearly beat pickling "
-        f"(best {max(ratios):.2f}x)"
-    )
-    assert ratios[-1] >= 0.7, (
-        f"slab transport much slower than pickling at batch {cap} "
-        f"({ratios[-1]:.2f}x)"
-    )
-    assert crossover is not None and crossover <= cap

@@ -10,20 +10,15 @@ capacity:
   (in the pool initializer) and serves every subsequent micro-batch
   from the cached :class:`~repro.core.executor.ProgrammedLayer` list
   with frozen calibration; batches round-robin across workers.
+* **thread mode** — replica threads over one shared programmed copy
+  (:class:`ThreadDispatcher`).
 * **serial mode** — the in-process fallback (sandboxes without fork,
   ``mode="serial"``): one programmed copy served inline.  Same
   numbers, no overlap.
 
-Process mode moves batch payloads through **shared-memory slabs**: the
-coordinator allocates one ``multiprocessing.shared_memory`` slab per
-replica, sized from the micro-batcher's ``max_batch`` and the widest
-mapped layer, and batch inputs/results travel as
-:class:`ShmRef` ``(slab, offset, shape, dtype)`` descriptors instead
-of pickled ndarrays — only the small ResultEnvelope metadata
-(telemetry deltas, timings) still pickles.  ``PRIME_SHM=0`` disables
-the slabs; slab exhaustion or oversized payloads fall back to pickling
-that batch (counted as ``serve.dispatch.shm_fallback``), so shared
-memory is purely an optimisation with identical results either way.
+Process mode pickles batch inputs and result envelopes through the
+pool pipe.  A micro-batch is at most a few MB, and pickling it costs
+about 1% or less of the time the batch takes to execute.
 
 All replicas program from one :class:`WorkerSpec` (same seed), so they
 hold bit-identical state and results never depend on which replica a
@@ -52,8 +47,6 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
@@ -72,8 +65,6 @@ from repro.telemetry.shipping import ResultEnvelope, run_scoped
 
 __all__ = [
     "WorkerSpec",
-    "ShmRef",
-    "shm_enabled",
     "pool_timeout_s",
     "dispatch_mode",
     "batch_noise_seed",
@@ -122,32 +113,11 @@ def pool_timeout_s() -> float:
         telemetry.count("perf.env.invalid", knob="PRIME_POOL_TIMEOUT_S")
         return _POOL_TIMEOUT_DEFAULT_S
     return value
-#: Shared-memory slots per replica slab — the inflight micro-batch
-#: depth one replica's slab can hold before dispatch falls back to
-#: pickling (the runtime keeps at most a handful of batches inflight
-#: per replica, so four slots absorb normal pipelining).
-_SLAB_SLOTS = 4
 
 
-def shm_enabled() -> bool:
-    """Whether shared-memory dispatch is enabled (``PRIME_SHM``).
-
-    ``"0"`` disables; unset/``"1"`` enable.  Any other value logs a
-    warning and keeps the default rather than raising at deploy time,
-    mirroring the other ``PRIME_*`` knobs.
-    """
-    env = os.environ.get("PRIME_SHM", "").strip()
-    if env in ("", "1"):
-        return True
-    if env == "0":
-        return False
-    logger.warning(
-        "PRIME_SHM must be 0 or 1, got %r; keeping the default "
-        "(enabled)",
-        env,
-    )
-    telemetry.count("perf.env.invalid", knob="PRIME_SHM")
-    return True
+#: Micro-batches each replica thread may have in flight: enough to
+#: keep every thread busy without unbounded queue growth.
+_THREAD_DEPTH = 4
 
 
 def dispatch_mode() -> str | None:
@@ -192,186 +162,6 @@ def spec_resident_bytes(spec: WorkerSpec) -> int:
     xbar = spec.config.crossbar
     per_pair = 2 * xbar.rows * xbar.cols * _CELL_STATE_BYTES
     return sum(m.pairs * per_pair for m in spec.plan.weight_layers)
-
-
-@dataclass(frozen=True)
-class ShmRef:
-    """Descriptor of an ndarray resident in a shared-memory slab.
-
-    This is all that crosses the process boundary for a batch payload;
-    both sides rebuild the array as a view over the mapped slab.
-    """
-
-    name: str
-    offset: int
-    shape: tuple
-    dtype: str
-
-
-@dataclass(frozen=True)
-class _ResultSlot:
-    """Where a worker should place a batch's result array."""
-
-    name: str
-    offset: int
-    capacity: int
-
-
-class _SlabPool:
-    """Coordinator-side shared-memory slabs, one per replica.
-
-    Each slab holds :data:`_SLAB_SLOTS` slots of ``in_bytes`` (batch
-    input) plus ``out_bytes`` (result) — a slot is held from dispatch
-    until the batch's future resolves, so slab memory is bounded by the
-    inflight depth, not the request count.
-
-    Every slab carries a **generation counter** bumped by
-    :meth:`reclaim_replica` (the replica-restart path): an acquire key
-    embeds the generation it was issued under, and a release with a
-    stale generation is ignored.  That makes slot recovery after a
-    crashed or hung replica safe — reclaim returns every held slot to
-    the free list, and whatever late release the abandoned futures
-    would eventually issue cannot double-free a slot the restarted
-    replica has since re-acquired.
-    """
-
-    def __init__(
-        self,
-        replicas: int,
-        slots: int,
-        in_bytes: int,
-        out_bytes: int,
-    ) -> None:
-        self.in_bytes = in_bytes
-        self.out_bytes = out_bytes
-        self.slots = slots
-        self.slot_bytes = in_bytes + out_bytes
-        self.slabs: list[SharedMemory] = []
-        self._by_name: dict[str, SharedMemory] = {}
-        self._free: list[list[int]] = []
-        self._gen: list[int] = []
-        self._next = 0
-        for _ in range(replicas):
-            self.add_replica()
-
-    def add_replica(self) -> None:
-        """Allocate one more replica slab (autoscaler grow path)."""
-        shm = SharedMemory(create=True, size=self.slots * self.slot_bytes)
-        self.slabs.append(shm)
-        self._by_name[shm.name] = shm
-        self._free.append(list(range(self.slots)))
-        self._gen.append(0)
-
-    def remove_replica(self) -> None:
-        """Release the last replica slab (autoscaler shrink path).
-
-        The caller must have drained that replica's inflight batches —
-        removing a slab with held slots is a bug, not a race.
-        """
-        if len(self._free[-1]) != self.slots:
-            raise ConfigurationError(
-                "cannot remove a replica slab with inflight slots"
-            )
-        shm = self.slabs.pop()
-        self._free.pop()
-        self._gen.pop()
-        del self._by_name[shm.name]
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    def reclaim_replica(self, replica: int) -> int:
-        """Return every held slot of a replica's slab to the free list.
-
-        The replica-restart path: the worker holding those slots has
-        been killed, so nothing will write into them again.  Bumps the
-        slab's generation so late releases from the abandoned futures
-        are ignored.  Returns the number of slots recovered.
-        """
-        i = replica % len(self.slabs)
-        recovered = self.slots - len(self._free[i])
-        self._gen[i] += 1
-        self._free[i] = list(range(self.slots))
-        return recovered
-
-    @property
-    def held_slots(self) -> int:
-        """Slots currently held by inflight batches (accounting)."""
-        return sum(self.slots - len(free) for free in self._free)
-
-    def acquire(
-        self, replica: int | None = None
-    ) -> tuple[int, int, int] | None:
-        """A free ``(slab, slot, generation)``; ``None`` when none is
-        available.
-
-        With ``replica`` given the slot is pinned to that replica's
-        slab (the per-replica worker pool executes straight off its own
-        slab); without it the pool rotates across replica slabs (the
-        legacy round-robin used by direct dispatcher micro-benches).
-        """
-        n = len(self.slabs)
-        if replica is not None:
-            i = replica % n
-            if self._free[i]:
-                return i, self._free[i].pop(), self._gen[i]
-            return None
-        start = self._next
-        self._next = (start + 1) % n
-        for k in range(n):
-            i = (start + k) % n
-            if self._free[i]:
-                return i, self._free[i].pop(), self._gen[i]
-        return None
-
-    def release(self, slab: int, slot: int, gen: int = -1) -> None:
-        if 0 <= slab < len(self.slabs):
-            if gen >= 0 and gen != self._gen[slab]:
-                # Stale release from before a reclaim: the slot already
-                # went back to the free list (and may be held again).
-                return
-            self._free[slab].append(slot)
-
-    def stage(
-        self, key: tuple[int, int, int], batch: np.ndarray
-    ) -> tuple[ShmRef, _ResultSlot]:
-        """Copy ``batch`` into the slot's input region.
-
-        Returns the input descriptor plus the result region the worker
-        writes back into — the only per-batch copies left are this one
-        and the coordinator-side result materialisation.
-        """
-        slab, slot = key[0], key[1]
-        shm = self.slabs[slab]
-        base = slot * self.slot_bytes
-        view = np.ndarray(
-            batch.shape, dtype=batch.dtype, buffer=shm.buf, offset=base
-        )
-        view[...] = batch
-        return (
-            ShmRef(shm.name, base, batch.shape, batch.dtype.str),
-            _ResultSlot(shm.name, base + self.in_bytes, self.out_bytes),
-        )
-
-    def view(self, ref: ShmRef) -> np.ndarray:
-        """The coordinator-side array view a worker's ref describes."""
-        shm = self._by_name[ref.name]
-        return np.ndarray(
-            ref.shape,
-            dtype=np.dtype(ref.dtype),
-            buffer=shm.buf,
-            offset=ref.offset,
-        )
-
-    def close(self) -> None:
-        for shm in self.slabs:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
 
 
 @dataclass
@@ -619,23 +409,6 @@ def run_programmed_shared(
 
 #: Per-process worker state: (spec, executor, programmed) after init.
 _WORKER_STATE: tuple | None = None
-#: Slab attachments cached per worker process (name -> SharedMemory);
-#: a replica re-attaches each slab at most once for its lifetime.
-_WORKER_SLABS: dict[str, SharedMemory] = {}
-
-
-def _worker_view(ref: ShmRef) -> np.ndarray:
-    """The worker-side array view a coordinator ref describes."""
-    shm = _WORKER_SLABS.get(ref.name)
-    if shm is None:
-        shm = SharedMemory(name=ref.name)
-        _WORKER_SLABS[ref.name] = shm
-    return np.ndarray(
-        ref.shape,
-        dtype=np.dtype(ref.dtype),
-        buffer=shm.buf,
-        offset=ref.offset,
-    )
 #: Telemetry recorded while this worker initialised (programming +
 #: calibration), held until the first served batch ships it to the
 #: coordinator.  Kept separate from per-batch deltas so execution
@@ -727,14 +500,7 @@ def _pool_init(payload: bytes) -> None:
 
 def _pool_run(args: tuple) -> ResultEnvelope:
     global _WORKER_INIT_DELTA
-    batch, noise_seed, ship, result_slot, fault = (
-        args + (None,) * (5 - len(args))
-    )
-    if isinstance(batch, ShmRef):
-        # Zero-copy input: execute straight off the slab view (the
-        # coordinator holds the slot until this batch's future
-        # resolves, so the region cannot be rewritten underneath us).
-        batch = _worker_view(batch)
+    batch, noise_seed, ship, fault = args
     spec, executor, programmed = _WORKER_STATE
     _apply_fault(fault, programmed, before=True)
     envelope = _serve_batch(
@@ -749,25 +515,6 @@ def _pool_run(args: tuple) -> ResultEnvelope:
     envelope.execute_ns += _apply_fault(fault, programmed, before=False)
     if ship:
         _WORKER_INIT_DELTA = None
-    result = envelope.value
-    if (
-        result_slot is not None
-        and isinstance(result, np.ndarray)
-        and result.nbytes <= result_slot.capacity
-    ):
-        out = np.ndarray(
-            result.shape,
-            dtype=result.dtype,
-            buffer=_WORKER_SLABS[result_slot.name].buf,
-            offset=result_slot.offset,
-        )
-        out[...] = result
-        envelope.value = ShmRef(
-            result_slot.name,
-            result_slot.offset,
-            result.shape,
-            result.dtype.str,
-        )
     return envelope
 
 
@@ -776,7 +523,7 @@ def _pool_ping() -> int:
 
     The coordinator records the pid so a hung worker — one sleeping
     inside a batch, which ``shutdown(wait=False)`` cannot interrupt —
-    can be SIGKILLed before its slab slots are reclaimed.
+    can be SIGKILLed before its pool is replaced.
     """
     return os.getpid() if _WORKER_STATE is not None else 0
 
@@ -1005,7 +752,7 @@ class ThreadDispatcher:
     evaluate concurrently while
 
     * batch payloads and results move as plain ndarray references —
-      zero-copy by construction, no slabs, no pickling;
+      zero-copy by construction, no pickling;
     * scale-up allocates only per-thread scratch workspaces
       (:meth:`~repro.perf.plan.CompiledPlan.prewarm` — microseconds,
       vs fork + program for a process replica);
@@ -1108,10 +855,9 @@ class ThreadDispatcher:
 
     @property
     def inflight_limit(self) -> int | None:
-        """Same pipelining depth process mode gets from its slab
-        slots: a few batches in flight per replica keeps every thread
-        busy without unbounded queue growth."""
-        return _SLAB_SLOTS * max(1, len(self._pools))
+        """A few batches in flight per replica thread (see
+        :data:`_THREAD_DEPTH`)."""
+        return _THREAD_DEPTH * max(1, len(self._pools))
 
     def resident_bytes(self) -> int:
         """One programmed copy, however many replica threads serve it."""
@@ -1298,62 +1044,6 @@ class ThreadDispatcher:
         self._state = None
 
 
-class _ShmFuture:
-    """Future adapter that materialises a slab-resident result.
-
-    Resolves the pool future, copies the result out of the shared
-    slot (workers only hold the slot until then), and releases the
-    slot exactly once.  A timeout leaves the slot held — the worker
-    may still be writing into it; the recovery path (restart the
-    replica, which kills the worker and reclaims its slab's slots)
-    then calls :meth:`abandon` so this future never frees the slot a
-    second time.
-    """
-
-    def __init__(self, inner: Future, slabs: _SlabPool, key) -> None:
-        self._inner = inner
-        self._slabs = slabs
-        self._key = key
-        self._envelope = None
-
-    def result(self, timeout: float | None = None) -> ResultEnvelope:
-        if self._key is None:
-            return self._envelope
-        try:
-            envelope = self._inner.result(timeout)
-        except (TimeoutError, _FuturesTimeout):
-            raise
-        except BaseException:
-            self._slabs.release(*self._key)
-            self._key = None
-            raise
-        value = envelope.value
-        if isinstance(value, ShmRef):
-            envelope.value = self._slabs.view(value).copy()
-        else:
-            # Worker-side fallback: the result outgrew the slot (e.g.
-            # a network reprogrammed to a wider head) and was pickled.
-            telemetry.count("serve.dispatch.shm_fallback", reason="result")
-        self._slabs.release(*self._key)
-        self._key = None
-        self._envelope = envelope
-        return envelope
-
-    def abandon(self) -> None:
-        """Detach from the slab slot without releasing it.
-
-        Called after the slot's replica was restarted: the restart
-        already reclaimed (and re-generationed) the slot, so a release
-        from this future would be stale.  Idempotent; a later
-        ``result()`` on an abandoned future returns nothing useful and
-        must not be relied on.
-        """
-        self._key = None
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-
 class ProcessDispatcher:
     """Per-replica persistent worker pools with programmed state.
 
@@ -1364,35 +1054,25 @@ class ProcessDispatcher:
     independently, and a replica grant can grow or shrink live — grow
     spawns one more pool (its programming cost is measured and
     returned), shrink retires the newest pool after the runtime drains
-    it.  ``slab_shape=(max_batch, in_elems, out_elems)`` enables the
-    shared-memory payload path: per-replica slabs sized for
-    ``max_batch`` samples of the widest layer, pinned to their
-    replica's pool.  Without it (or with ``PRIME_SHM=0``) every batch
-    pickles through the pool pipe.
+    it.  Every batch and result pickles through its replica's pool
+    pipe.
     """
 
     mode = "process"
+
+    #: Pickled dispatch has no per-replica buffer to exhaust, so the
+    #: inflight depth is left unbounded.
+    inflight_limit: int | None = None
 
     def __init__(
         self,
         spec: WorkerSpec,
         replicas: int,
-        slab_shape: tuple[int, int, int] | None = None,
         defer_spawn: bool = False,
     ) -> None:
         if replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
         self.spec = spec
-        # Start the multiprocessing resource tracker before the pools
-        # fork so every worker inherits it: attaching a slab then
-        # registers into the same tracker (an idempotent set add, and
-        # the coordinator's unlink clears it once) instead of spawning
-        # a per-worker tracker that would try to clean the slab a
-        # second time at worker exit.
-        try:
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker is best-effort
-            pass
         self._payload = pickle.dumps(spec)
         self._pools: list[ProcessPoolExecutor] = []
         self._pids: list[int] = []
@@ -1413,35 +1093,6 @@ class ProcessDispatcher:
         except BaseException:
             self.close()
             raise
-        self._slabs: _SlabPool | None = None
-        self._slab_bytes: tuple[int, int] | None = None
-        if slab_shape is not None and shm_enabled():
-            max_batch, in_elems, out_elems = slab_shape
-            self._slab_bytes = (
-                max_batch * in_elems * 8,
-                max_batch * out_elems * 8,
-            )
-            try:
-                self._slabs = _SlabPool(
-                    replicas, _SLAB_SLOTS, *self._slab_bytes
-                )
-            except OSError as exc:
-                logger.warning(
-                    "shared-memory slabs unavailable (%s: %s); "
-                    "dispatching pickled batches",
-                    type(exc).__name__,
-                    exc,
-                )
-                warnings.warn(
-                    "shared-memory slabs unavailable "
-                    f"({type(exc).__name__}); dispatching pickled "
-                    "batches",
-                    ParallelFallbackWarning,
-                    stacklevel=2,
-                )
-                telemetry.count(
-                    "serve.dispatch.shm_fallback", reason="unavailable"
-                )
 
     @property
     def replicas(self) -> int:
@@ -1534,19 +1185,6 @@ class ProcessDispatcher:
         self._pending_spawn = None
         self._finish_spawn(pending)
 
-    @property
-    def inflight_limit(self) -> int | None:
-        """Batches the runtime may leave unresolved before collecting.
-
-        With slabs active this is the total slot count — dispatching
-        past it would only downgrade batches to pickling, so the
-        runtime applies backpressure instead.  ``None`` (pickle mode)
-        leaves the inflight depth unbounded.
-        """
-        if self._slabs is None:
-            return None
-        return self._slabs.slots * self.replicas
-
     def dispatch(
         self,
         batch: np.ndarray,
@@ -1561,42 +1199,17 @@ class ProcessDispatcher:
             self._rr = (self._rr + 1) % len(self._pools)
         else:
             replica %= len(self._pools)
-        pool = self._pools[replica]
-        slabs = self._slabs
-        if slabs is not None:
-            if (
-                batch.nbytes > slabs.in_bytes
-                or not batch.flags.c_contiguous
-            ):
-                telemetry.count(
-                    "serve.dispatch.shm_fallback", reason="size"
-                )
-            else:
-                key = slabs.acquire(replica)
-                if key is None:
-                    telemetry.count(
-                        "serve.dispatch.shm_fallback", reason="slots"
-                    )
-                else:
-                    in_ref, result_slot = slabs.stage(key, batch)
-                    inner = pool.submit(
-                        _pool_run,
-                        (in_ref, noise_seed, ship, result_slot, fault),
-                    )
-                    telemetry.count("serve.dispatch.shm_batches")
-                    return _ShmFuture(inner, slabs, key)
-        return pool.submit(
-            _pool_run, (batch, noise_seed, ship, None, fault)
+        return self._pools[replica].submit(
+            _pool_run, (batch, noise_seed, ship, fault)
         )
 
     def restart_replica(self, replica: int) -> float:
         """Kill and respawn one replica's worker pool in place.
 
         The crash/hang recovery path: SIGKILL the worker (a hung worker
-        sleeps through ``shutdown(wait=False)``), retire its pool,
-        reclaim its slab slots (the killed worker can no longer write
-        into them), and bring up a fresh pool that re-programs the
-        replica in its initializer.  Returns the measured wall seconds
+        sleeps through ``shutdown(wait=False)``), retire its pool, and
+        bring up a fresh pool that re-programs the replica in its
+        initializer.  Returns the measured wall seconds
         — kill + fork + one-time ``program_state``.  Raises when the
         respawn itself fails; the caller retires the replica then.
         """
@@ -1616,8 +1229,6 @@ class ProcessDispatcher:
         except Exception:  # pragma: no cover - pool already broken
             pass
         self._pids[replica] = 0
-        if self._slabs is not None:
-            self._slabs.reclaim_replica(replica)
         pool = ProcessPoolExecutor(
             max_workers=1,
             initializer=_pool_init,
@@ -1656,7 +1267,7 @@ class ProcessDispatcher:
         )
 
     def grow(self, replicas: int = 1) -> float:
-        """Spawn ``replicas`` more programmed workers (and slabs).
+        """Spawn ``replicas`` more programmed workers.
 
         Returns the measured wall seconds the scale-up cost: pool fork
         plus the one-time ``program_state`` in each new worker's
@@ -1667,24 +1278,19 @@ class ProcessDispatcher:
         self.finish_spawn()
         start = time.perf_counter()
         self._spawn(replicas)
-        if self._slabs is not None:
-            for _ in range(replicas):
-                self._slabs.add_replica()
         return time.perf_counter() - start
 
     def shrink(self, replicas: int = 1) -> float:
         """Retire the newest ``replicas`` worker pools.
 
         The caller (the runtime's ``scale_to``) must have drained every
-        inflight batch first — a held slab slot on a retiring replica
-        raises rather than corrupting the slab pool.
+        inflight batch first; a retiring pool cancels what it still
+        holds.
         """
         self.finish_spawn()
         if replicas >= len(self._pools):
             raise ConfigurationError("cannot shrink below one replica")
         for _ in range(replicas):
-            if self._slabs is not None:
-                self._slabs.remove_replica()
             self._pools.pop().shutdown(wait=False, cancel_futures=True)
             self._pids.pop()
         self._rr %= len(self._pools)
@@ -1695,12 +1301,11 @@ class ProcessDispatcher:
         return spec_resident_bytes(self.spec) * max(1, self.replicas)
 
     def close(self) -> None:
-        """Shut every pool down and release the slabs.
+        """Shut every pool down.
 
         Idempotent and exception-safe: closing twice, or closing after
-        a worker crash left a pool broken, still releases every slab —
-        a broken pool's shutdown can raise, and that must not leak the
-        shared memory the other replicas hold.
+        a worker crash left a pool broken, still shuts down every other
+        pool — a broken pool's shutdown can raise.
         """
         pending = getattr(self, "_pending_spawn", None)
         if pending is not None:
@@ -1717,11 +1322,6 @@ class ProcessDispatcher:
                 pass
         self._pools = []
         self._pids = []
-        if getattr(self, "_slabs", None) is not None:
-            try:
-                self._slabs.close()
-            finally:
-                self._slabs = None
 
 
 #: Exceptions a pool spawn can die with in environments that cannot
@@ -1771,7 +1371,6 @@ def make_dispatcher(
     spec: WorkerSpec,
     replicas: int,
     mode: str = "auto",
-    slab_shape: tuple[int, int, int] | None = None,
     defer_spawn: bool = False,
 ):
     """Build the replica dispatcher for a deployment.
@@ -1782,10 +1381,7 @@ def make_dispatcher(
     no pool can be created while ``"process"`` propagates the failure.
     ``mode="serial"`` skips both.  A ``PRIME_DISPATCH`` environment
     override (:func:`dispatch_mode`) steers ``"auto"`` deployments
-    only — explicit modes always win.  ``slab_shape`` (max_batch,
-    input elems, output elems — the runtime derives it from the
-    micro-batcher and the plan's widest layer) sizes the shared-memory
-    payload slabs of process mode.  ``defer_spawn`` makes process-mode
+    only — explicit modes always win.  ``defer_spawn`` makes process-mode
     construction return with its workers still forking/programming in
     the background; the first use (or an explicit
     ``finish_spawn()``/``finish_deploy()``) awaits them.
@@ -1807,7 +1403,6 @@ def make_dispatcher(
         return ProcessDispatcher(
             spec,
             replicas,
-            slab_shape=slab_shape,
             defer_spawn=defer_spawn,
         )
     except POOL_SPAWN_FAILURES as exc:

@@ -196,21 +196,10 @@ class ServingRuntime:
                     and calibration is not None
                 ),
             )
-            # Shared-memory slabs are sized for a full micro-batch of
-            # the widest mapped layer, so any batch the batcher can
-            # release (and any layer's result) fits a slot.
-            widest = max(
-                (
-                    max(m.traffic.input_elems, m.traffic.output_elems)
-                    for m in self.plan.layers
-                ),
-                default=1,
-            )
             self.dispatcher = make_dispatcher(
                 self.spec,
                 replicas=self.deployment.replicas,
                 mode=self.serve_config.mode,
-                slab_shape=(max_batch, widest, widest),
                 defer_spawn=defer_spawn,
             )
             self._record_resident_bytes()
@@ -350,7 +339,7 @@ class ServingRuntime:
         """Move work without waiting: the pipelined pump.
 
         Dispatches ready micro-batches only while the dispatcher has
-        uncontended capacity (its shared-memory slot depth), then
+        uncontended capacity (its inflight depth, if it has one), then
         resolves the *finished* prefix of the in-flight queue — never
         blocking on a batch still executing.  Interleaving ``poll``
         across several runtimes keeps every deployment's replicas
@@ -422,7 +411,7 @@ class ServingRuntime:
         # Route over the healthy set only.  With every replica healthy
         # this is exactly the historical round-robin (index modulo the
         # replica count), so fault-free routing — and therefore noise
-        # seeding, slab pinning, telemetry — is unchanged.
+        # seeding, telemetry — is unchanged.
         healthy = self.monitor.routable()
         if not healthy:
             self._degrade_to_serial()
@@ -463,12 +452,11 @@ class ServingRuntime:
             request.t_dispatched = t_dispatch
         limit = self.dispatcher.inflight_limit
         if block and limit is not None:
-            # Backpressure: past the dispatcher's inflight depth (the
-            # shared-memory slot count) further dispatches would only
-            # downgrade to pickled payloads, so resolve the oldest
-            # batch first — its replica has almost certainly finished
-            # it by the time the queue is this deep.  (``poll`` never
-            # gets here: it stops dispatching at the limit instead.)
+            # Backpressure: past the dispatcher's inflight depth,
+            # resolve the oldest batch first — its replica has almost
+            # certainly finished it by the time the queue is this
+            # deep.  (``poll`` never gets here: it stops dispatching at
+            # the limit instead.)
             while len(self._inflight) >= limit:
                 self._drained += self._resolve(self._inflight.pop(0))
         future = self._safe_dispatch(
@@ -583,11 +571,6 @@ class ServingRuntime:
         policy = self.health
         if entry.replica < len(self.monitor.replicas):
             self.monitor.record_failure(entry.replica, reason)
-        # Abandon the dead future's slab slot first: the restart below
-        # reclaims (and re-generations) the replica's slots, so a late
-        # release from this future must never fire.
-        if hasattr(entry.future, "abandon"):
-            entry.future.abandon()
         if self._epoch_of(entry.replica) == entry.epoch:
             # First failure against this replica incarnation: it is
             # genuinely bad (crashed pool, hung worker) — restart it.
@@ -724,7 +707,7 @@ class ServingRuntime:
     def _degrade_to_serial(self) -> None:
         """Last-resort fallback: every replica is unhealthy.
 
-        Closes the parallel dispatcher — slabs and pools in process
+        Closes the parallel dispatcher — worker pools in process
         mode, cooperatively-cancelled replica threads in thread mode
         (threads cannot be SIGKILLed; closing sets every replica's
         cancellation event, so even a hung thread wakes and retires
@@ -968,8 +951,8 @@ class ServingRuntime:
                     )
                     raise
             else:
-                # A retiring replica may still hold in-flight batches
-                # (and slab slots): resolve everything first.
+                # A retiring replica may still hold in-flight batches:
+                # resolve everything first.
                 self._drained += self._collect()
                 cost = self.dispatcher.shrink(current - replicas)
                 self.scheduler.shrink(self.name, current - replicas)

@@ -3,9 +3,9 @@
 The fault-injection suite (``-m chaos``): a seeded :class:`FaultPlan`
 kills, hangs, and drifts *real* pool workers, and the cluster must
 recover — respawn the replica, re-dispatch the batch bit-identically,
-return every shared-memory slot, and never lose an admitted request
-silently.  Everything here is deterministic in the plan and the
-traffic; wall-clock only enters through deliberately short deadlines.
+and never lose an admitted request silently.  Everything here is
+deterministic in the plan and the traffic; wall-clock only enters
+through deliberately short deadlines.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.params.reram import PT_TIO2_DEVICE
 from repro.resilience import ResiliencePolicy
 from repro.serve import ServeConfig, ServingRuntime
 from repro.serve import dispatcher as dispatcher_mod
-from repro.serve.dispatcher import ProcessDispatcher, _SlabPool
+from repro.serve.dispatcher import ProcessDispatcher
 from repro.serve.health import FaultEvent, FaultPlan, HealthPolicy
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos]
@@ -89,18 +89,13 @@ def _runtime(network, samples, **kw):
     return ServingRuntime(network, TOPOLOGY, **defaults)
 
 
-def _held_slots(runtime) -> int:
-    slabs = runtime.dispatcher._slabs
-    return 0 if slabs is None else slabs.held_slots
-
-
 class TestKillRecovery:
     def test_worker_kill_recovers_bit_identical(
         self, network, samples
     ):
         """A worker dies mid-run (real ``os._exit``): the replica is
-        respawned, the batch re-dispatched, results bit-identical, and
-        every slab slot comes back."""
+        respawned, the batch re-dispatched, and results
+        bit-identical."""
         telemetry.enable()
         plan = FaultPlan.of(FaultEvent(batch_index=1, kind="kill"))
         with _runtime(network, samples, fault_plan=plan) as runtime:
@@ -114,8 +109,6 @@ class TestKillRecovery:
             assert event.replica == 1  # round-robin: batch 1 -> replica 1
             # Restart cost is real: kill + fork + one-time programming.
             assert event.cost_s > 0.0
-            # Slab accounting returns to full — no leaked slots.
-            assert _held_slots(runtime) == 0
             # The respawned worker serves again (replica back in
             # rotation, not retired).
             assert runtime.monitor.routable() == [0, 1]
@@ -164,7 +157,6 @@ class TestKillRecovery:
                 time.sleep(0.01)
             assert all(r.done for r in requests)
             assert len(runtime.restarts) == 1
-            assert _held_slots(runtime) == 0
             served = np.stack([r.result for r in requests])
             reference = runtime.reference(samples)
         np.testing.assert_array_equal(served, reference)
@@ -175,9 +167,8 @@ class TestHangTimeout:
         self, network, samples
     ):
         """A worker sleeping through its batch trips the per-batch
-        deadline: the hung worker is SIGKILLed, the batch re-dispatched,
-        and — the slot-leak regression — the slab pool's accounting
-        returns to full even though the timed-out future never
+        deadline: the hung worker is SIGKILLed and the batch
+        re-dispatched, even though the timed-out future never
         resolved."""
         plan = FaultPlan.of(
             FaultEvent(batch_index=0, kind="hang", duration_s=60.0)
@@ -190,7 +181,6 @@ class TestHangTimeout:
             reference = runtime.reference(samples)
             assert len(runtime.restarts) == 1
             assert runtime.restarts[0].reason == "timeout"
-            assert _held_slots(runtime) == 0
         np.testing.assert_array_equal(served, reference)
 
 
@@ -252,13 +242,11 @@ class TestSpawnFailureRecovery:
             )
             with pytest.raises(OSError):
                 runtime.scale_to(2)
-            # Nothing half-granted: replica count, pools, pids, slabs,
-            # and the free-bank pool are all untouched.
+            # Nothing half-granted: replica count, pools, pids and the
+            # free-bank pool are all untouched.
             assert runtime.replicas == 1
             d = runtime.dispatcher
             assert len(d._pools) == len(d._pids) == 1
-            if d._slabs is not None:
-                assert len(d._slabs.slabs) == 1
             assert len(runtime.scheduler.free_banks) == free_before
             # Retry with the environment healthy again.
             monkeypatch.setattr(
@@ -280,7 +268,7 @@ class TestCloseSafety:
         d = runtime.dispatcher
         assert isinstance(d, ProcessDispatcher)
         d.close()  # runtime.close() already closed it; idempotent
-        assert d._slabs is None and d._pools == []
+        assert d._pools == []
 
     def test_runtime_close_after_worker_crash_releases_banks(
         self, network, samples
@@ -299,37 +287,3 @@ class TestCloseSafety:
         assert len(scheduler.free_banks) > free_granted
         runtime.close()  # and closing again is a no-op
 
-
-class TestSlabReclaim:
-    """Generation-counter semantics of the slab pool (unit level)."""
-
-    def test_reclaim_recovers_and_stale_release_ignored(self):
-        pool = _SlabPool(replicas=1, slots=2, in_bytes=80, out_bytes=80)
-        try:
-            k0 = pool.acquire(0)
-            k1 = pool.acquire(0)
-            assert pool.acquire(0) is None
-            assert pool.held_slots == 2
-            assert pool.reclaim_replica(0) == 2
-            assert pool.held_slots == 0
-            # The pre-reclaim keys carry a stale generation: releasing
-            # them must not double-free slots the next incarnation may
-            # already hold.
-            fresh = pool.acquire(0)
-            pool.release(*k0)
-            pool.release(*k1)
-            assert pool.held_slots == 1  # only `fresh` is out
-            assert pool.acquire(0) is not None
-            assert pool.acquire(0) is None  # still only 2 slots
-            pool.release(*fresh)
-        finally:
-            pool.close()
-
-    def test_release_without_generation_is_legacy_path(self):
-        pool = _SlabPool(replicas=1, slots=1, in_bytes=80, out_bytes=80)
-        try:
-            slab, slot, _gen = pool.acquire(0)
-            pool.release(slab, slot)  # gen defaults to "don't check"
-            assert pool.held_slots == 0
-        finally:
-            pool.close()

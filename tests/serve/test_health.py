@@ -2,7 +2,7 @@
 
 Serial-mode coverage of the fault-tolerance layer — deterministic,
 fast, no real processes.  Process-mode chaos (real worker kills,
-hangs, slab accounting) lives in ``test_chaos.py``.
+hangs, drift) lives in ``test_chaos.py``.
 """
 
 from __future__ import annotations

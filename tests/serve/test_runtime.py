@@ -132,14 +132,18 @@ class TestBitIdentity:
             )
         np.testing.assert_array_equal(served, direct)
 
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_noise_off_invariant_under_batch_composition(
-        self, network, samples
+        self, network, samples, mode
     ):
+        """Every dispatch mode serves the oracle's bits, whatever the
+        micro-batch size — so the modes also agree with each other."""
         outputs = {}
         for max_batch in (4, 7):
             with _runtime(
-                network, samples, serve=dict(max_batch=max_batch)
+                network, samples, serve=dict(max_batch=max_batch, mode=mode)
             ) as runtime:
+                assert runtime.mode == mode
                 outputs[max_batch] = runtime.serve(samples)
                 reference = runtime.reference(samples)
         np.testing.assert_array_equal(outputs[4], outputs[7])
@@ -167,12 +171,14 @@ class TestBitIdentity:
         np.testing.assert_array_equal(served, want)
         assert not np.array_equal(served[:10], other)
 
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_serving_after_tile_remap_matches_reference(
-        self, network, samples
+        self, network, samples, mode
     ):
         """The sparing recipe from tests/resilience: faulty arrays force
         tile remaps during programming; serving must still equal the
-        oracle because both program from the same WorkerSpec."""
+        oracle in every dispatch mode because all of them program from
+        the same WorkerSpec."""
         policy = ResiliencePolicy(
             verify_writes=True,
             spare_columns=0,
@@ -184,8 +190,9 @@ class TestBitIdentity:
             policy, fault_rate_hrs=0.05, fault_rate_lrs=0.05
         )
         with _runtime(
-            network, samples, config=config, serve=dict(seed=3)
+            network, samples, config=config, serve=dict(seed=3, mode=mode)
         ) as runtime:
+            assert runtime.mode == mode
             assert runtime.spec.use_rng
             executor, _ = program_state(runtime.spec)
             summary = executor.last_degradation

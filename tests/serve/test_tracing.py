@@ -86,11 +86,8 @@ def _runtime(network, samples, mode, max_replicas=2, **serve_kw):
 
 
 def _counter_totals(session) -> dict:
-    # ``serve.dispatch.shm_*`` counts the payload transport (shared
-    # memory vs pickling), which only exists in process mode; every
-    # model/hardware counter must still match bit-identically.  The
-    # ``mode=`` label names the dispatch mode by design — strip it so
-    # the *counts* still have to match across modes.
+    # The ``mode=`` label names the dispatch mode by design — strip it
+    # so the *counts* still have to match across modes.
     return {
         (
             c.name,
@@ -103,7 +100,6 @@ def _counter_totals(session) -> dict:
             ),
         ): c.value
         for c in session.metrics.counters()
-        if not c.name.startswith("serve.dispatch.shm_")
     }
 
 
