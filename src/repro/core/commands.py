@@ -117,9 +117,8 @@ class CommandStreamRunner:
         buf_cursor = in_region.size
         for layer in net.layers:
             if isinstance(layer, (Dense, Conv2D)):
-                tiles, w_fmt = programmed.pop(0)
-                act, buf_cursor = self._run_weight_layer(
-                    layer, tiles, w_fmt, act, buf_cursor
+                act, buf_cursor = self._load_fire_store(
+                    layer, programmed.pop(0), act, buf_cursor
                 )
             else:
                 act = layer.forward(act)
@@ -148,12 +147,13 @@ class CommandStreamRunner:
 
     # -- internals ------------------------------------------------------
 
-    def _run_weight_layer(self, layer, tiles, w_fmt, act, buf_cursor):
-        executor = self.session.executor
-        xbar = executor.config.crossbar
-        pin = xbar.effective_input_bits
+    def _load_fire_store(self, layer, programmed, act, buf_cursor):
+        w_fmt = programmed.w_fmt
+        pin = self.session.executor.config.crossbar.effective_input_bits
         if isinstance(layer, Conv2D):
-            vectors, spatial = executor._im2col_activations(layer, act)
+            patches, _ = layer._columns(act)
+            spatial = patches.shape[:3]
+            vectors = patches.reshape(-1, patches.shape[3])
         else:
             vectors, spatial = act.reshape(1, -1), None
         vectors = np.concatenate(
@@ -175,24 +175,12 @@ class CommandStreamRunner:
         )
         buf_cursor = region.offset + region.size
 
-        output_shift = executor._calibrate_output_shift(
-            tiles, codes, tiles[0][0].spec.po
+        # every engine of the layer fires on its slice of the codes
+        kernel = programmed.kernel
+        output_shift = kernel.calibrate_output_shift(codes)
+        outputs = kernel.mvm_batch(
+            codes, with_noise=False, output_shift=output_shift, fused=False
         )
-        outputs = None
-        for rb, tile_row in enumerate(tiles):
-            r0 = rb * xbar.rows
-            cols = []
-            for engine in tile_row:
-                block = codes[:, r0 : r0 + engine.rows_used]
-                cols.append(
-                    engine.mvm_batch(
-                        block, with_noise=False, output_shift=output_shift
-                    )
-                )
-            row_result = np.concatenate(cols, axis=1)
-            outputs = (
-                row_result if outputs is None else outputs + row_result
-            )
         scale = (2.0 ** output_shift) * in_fmt.resolution * w_fmt.resolution
         result = outputs * scale
         if spatial is not None:

@@ -9,14 +9,14 @@ Two complementary execution paths share one mapping plan:
   bank-level parallelism for batched workloads.
 * :meth:`PrimeExecutor.run_functional` — bit-accurate inference through
   real :class:`~repro.crossbar.CrossbarMVMEngine` instances with
-  dynamic-fixed-point quantisation, for accuracy studies (Fig. 6).
+  dynamic-fixed-point quantisation, for accuracy studies (Fig. 6),
+  executed by a :class:`~repro.perf.plan.CompiledPlan`.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +26,11 @@ from repro.errors import ExecutionError
 from repro.baselines.common import ExecutionReport, record_report
 from repro.core.mapping import LayerMapping, MappingPlan, NetworkScale
 from repro.crossbar.engine import CrossbarMVMEngine
-from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D, MeanPool2D
+from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
-from repro.perf.kernels import FusedLayerKernel, fused_enabled
-from repro.perf.plan import (
-    CompiledPlan,
-    PlanCompileError,
-    PlanFallbackWarning,
-    plan_compile_enabled,
-)
+from repro.perf.kernels import FusedLayerKernel
+from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import DegradationSummary, LayerDegradation
@@ -46,8 +41,6 @@ T_MERGE_PER_BLOCK = 2.0 * ns
 #: Groups evaluated per analog round during 4:1 max pooling
 #: (min(256 rows / 4 candidates, 256 bitlines / 6 difference columns)).
 POOL_GROUPS_PER_ROUND = 42
-#: Samples used to freeze a layer's input format and SA output window.
-CALIBRATION_SAMPLES = 64
 #: Default streaming budget for functional activations (overridable
 #: via ``PRIME_FUNC_CHUNK_BYTES``).
 DEFAULT_CHUNK_BYTES = 256 * 1024 * 1024
@@ -104,8 +97,6 @@ class ProgrammedLayer:
         #: executor's memo slot; validated via ``CompiledPlan.matches``
         #: before reuse, recompiled when stale).
         self.compiled_plan = None
-        #: One warning per programmed chain when compilation fails.
-        self.plan_warned = False
 
     @classmethod
     def coerce(cls, entry) -> "ProgrammedLayer":
@@ -490,20 +481,18 @@ class PrimeExecutor:
         e.g. engines living inside real bank mats.  Returns the (float)
         output logits as computed by the quantised analog pipeline.
 
-        Once calibration is frozen the whole chain executes through a
+        Every chunk executes through the chain's
         :class:`~repro.perf.plan.CompiledPlan` — one flat precompiled
-        schedule with no per-layer Python bookkeeping
-        (``PRIME_PLAN_COMPILE=0`` restores the per-layer interpreter).
-        Each interpreted layer evaluates through its fused layer kernel
-        (``PRIME_FUSED=0`` restores the per-engine tile walk), and the
+        schedule with no per-layer Python bookkeeping (``PRIME_FUSED=0``
+        sends each weight layer down the per-engine tile walk).  The
         batch streams in chunks sized so the widest layer's activations
         stay under ``chunk_bytes`` (default ``PRIME_FUNC_CHUNK_BYTES``
         or 256 MiB) — conv im2col never materialises the whole batch.
         Per-layer calibration (input format and SA output window) is
-        frozen from the first ``CALIBRATION_SAMPLES`` samples and
-        cached on the programmed plan, so the first chunk always covers
-        the calibration prefix and chunked output equals unchunked
-        output for every chunk size.
+        frozen in-pass from the first ``CALIBRATION_SAMPLES`` samples
+        and cached on the programmed plan, so the first chunk always
+        covers the calibration prefix and chunked output equals
+        unchunked output for every chunk size.
         """
         xbar = self.config.crossbar
         pin = input_bits or xbar.effective_input_bits
@@ -583,92 +572,20 @@ class PrimeExecutor:
         pin: int,
         with_noise: bool,
     ) -> np.ndarray:
-        """One chunk, through the compiled plan when one is available.
-
-        The first chunk of a freshly programmed network runs through
-        the interpreter (calibration is not frozen yet); every chunk
-        after that executes the compiled schedule.  Both paths are
-        bit-identical, so chunked == unchunked holds regardless of
-        which chunk compiled the plan.
-        """
-        compiled = self._compiled_plan(network, layers, pin)
-        if compiled is not None:
-            return compiled.execute(act, with_noise)
-        return self._forward_chunk(network, layers, act, pin, with_noise)
-
-    def _compiled_plan(
-        self,
-        network: Sequential,
-        layers: list[ProgrammedLayer],
-        pin: int,
-    ) -> CompiledPlan | None:
-        """The cached CompiledPlan for this programmed chain, if any.
+        """One chunk through the chain's compiled plan.
 
         The plan memoises on the chain's first ProgrammedLayer and is
         validated against the live programmed state on every chunk —
         recalibration, reprogramming, or kernel invalidation all break
-        :meth:`CompiledPlan.matches` and force a recompile.  Returns
-        ``None`` (interpreter fallback, counted as
-        ``perf.plan.fallback``) when compilation is disabled, the chain
-        is not yet calibrated, or lowering fails.
+        :meth:`CompiledPlan.matches` and force a recompile.  A fresh
+        chain's first chunk calibrates each layer inside the plan.
         """
-        if not layers or not plan_compile_enabled():
-            return None
-        # PRIME_FUSED=0 forces the per-engine tile walk; the compiled
-        # plan is the fused tier's successor, so it stands down too.
-        if not fused_enabled():
-            return None
-        if any(
-            entry.in_fmt is None or entry.output_shift is None
-            for entry in layers
-        ):
-            # First pass after programming: let the interpreter freeze
-            # calibration, compile from the next chunk on.
-            return None
         host = layers[0]
         compiled = host.compiled_plan
-        if compiled is not None and compiled.matches(network, layers, pin):
-            return compiled
-        try:
+        if compiled is None or not compiled.matches(network, layers, pin):
             compiled = CompiledPlan.compile(network, layers, pin)
-        except PlanCompileError as exc:
-            if not host.plan_warned:
-                host.plan_warned = True
-                logger.warning("plan compilation failed: %s", exc)
-                warnings.warn(
-                    f"plan compilation failed ({exc}); falling back to "
-                    "the per-layer interpreter",
-                    PlanFallbackWarning,
-                    stacklevel=2,
-                )
-            telemetry.count("perf.plan.fallback", reason="compile_error")
-            return None
-        host.compiled_plan = compiled
-        return compiled
-
-    def _forward_chunk(
-        self,
-        network: Sequential,
-        layers: list[ProgrammedLayer],
-        act: np.ndarray,
-        pin: int,
-        with_noise: bool,
-    ) -> np.ndarray:
-        """One chunk's pass through the whole network."""
-        idx = 0
-        for layer in network.layers:
-            if isinstance(layer, (Dense, Conv2D)):
-                programmed = layers[idx]
-                idx += 1
-                with telemetry.span(
-                    "executor.layer", layer=type(layer).__name__
-                ):
-                    act = self._run_weight_layer(
-                        layer, programmed, act, pin, with_noise
-                    )
-            else:
-                act = layer.forward(act)
-        return act
+            host.compiled_plan = compiled
+        return compiled.execute(act, with_noise)
 
     def max_chunk_samples(
         self, plan: MappingPlan, chunk_bytes: int | None = None
@@ -897,114 +814,3 @@ class PrimeExecutor:
                 )
             )
         return DegradationSummary(workload=plan.workload, layers=layers)
-
-    def _run_weight_layer(
-        self,
-        layer: Layer,
-        programmed: ProgrammedLayer,
-        act: np.ndarray,
-        pin: int,
-        with_noise: bool,
-    ) -> np.ndarray:
-        if isinstance(layer, Conv2D):
-            vectors, spatial = self._im2col_activations(layer, act)
-        else:
-            if act.ndim != 2:
-                act = act.reshape(act.shape[0], -1)
-            vectors, spatial = act, None
-        batch_vecs = np.concatenate(
-            [vectors, np.ones((vectors.shape[0], 1))], axis=1
-        )
-        kernel = programmed.kernel
-        if programmed.in_fmt is None:
-            # Freeze calibration on first use: the input format and SA
-            # output window come from the first CALIBRATION_SAMPLES
-            # samples' vectors (all of a sample's im2col vectors count
-            # as that sample).  Later chunks/batches reuse the frozen
-            # calibration; out-of-range activations saturate in
-            # quantize_int, as a fixed hardware reference would.
-            vecs_per_sample = (
-                batch_vecs.shape[0] // spatial[0] if spatial else 1
-            )
-            cal_rows = min(
-                batch_vecs.shape[0], CALIBRATION_SAMPLES * vecs_per_sample
-            )
-            programmed.in_fmt = DynamicFixedPoint.for_data(
-                batch_vecs[:cal_rows], bits=pin, signed=False
-            )
-            codes = programmed.in_fmt.quantize_int(
-                np.clip(batch_vecs, 0.0, None)
-            )
-            programmed.output_shift = kernel.calibrate_output_shift(
-                codes, calibration_samples=cal_rows
-            )
-        else:
-            codes = programmed.in_fmt.quantize_int(
-                np.clip(batch_vecs, 0.0, None)
-            )
-        outputs = kernel.mvm_batch(
-            codes,
-            with_noise=with_noise,
-            output_shift=programmed.output_shift,
-        )
-        scale = (
-            (2.0 ** programmed.output_shift)
-            * programmed.in_fmt.resolution
-            * programmed.w_fmt.resolution
-        )
-        result = outputs * scale
-        if spatial is not None:
-            b, oh, ow = spatial
-            result = result.reshape(b, oh, ow, -1)
-        return result
-
-    @staticmethod
-    def _calibrate_output_shift(
-        tiles: list[list[CrossbarMVMEngine]],
-        codes: np.ndarray,
-        po: int,
-        calibration_samples: int = 64,
-    ) -> int:
-        """Choose the layer's SA output window (right shift).
-
-        The SA reference is tuned offline so that the largest observed
-        per-engine partial result still fits in the Po-bit output
-        register — the standard calibration step of dot-product
-        engines, enabled by PRIME's reconfigurable SA.
-        """
-        sample = codes[:calibration_samples]
-        bound = 1
-        xbar_rows = tiles[0][0].params.rows
-        for rb, tile_row in enumerate(tiles):
-            # Engines in one tile row share the same input rows, so the
-            # whole row calibrates with a single matmul against the
-            # horizontally stacked programmed weights.
-            r0 = rb * xbar_rows
-            block = sample[:, r0 : r0 + tile_row[0].rows_used]
-            row_weights = np.hstack(
-                [engine.programmed_weights for engine in tile_row]
-            )
-            bound = max(bound, int(np.max(np.abs(block @ row_weights))))
-        return max(0, bound.bit_length() - po)
-
-    @staticmethod
-    def _im2col_activations(
-        layer: Conv2D, act: np.ndarray
-    ) -> tuple[np.ndarray, tuple[int, int, int]]:
-        if act.ndim != 4:
-            raise ExecutionError(
-                f"conv layer expects image activations, got {act.shape}"
-            )
-        if layer.pad:
-            p = layer.pad
-            act = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
-        b, h, w, c = act.shape
-        k = layer.kernel
-        oh, ow = h - k + 1, w - k + 1
-        patches = np.empty((b, oh, ow, k * k * c))
-        for i in range(k):
-            for j in range(k):
-                patches[:, :, :, (i * k + j) * c : (i * k + j + 1) * c] = (
-                    act[:, i : i + oh, j : j + ow, :]
-                )
-        return patches.reshape(b * oh * ow, k * k * c), (b, oh, ow)

@@ -21,7 +21,11 @@ parallel sweeps one point at a time.  This package removes both:
   batched evaluation per mapped layer instead of a Python walk over
   the ``row_blocks × col_blocks`` tile grid, bit-identical to the
   per-engine path with noise off and seed-reproducible with noise on.
-  Controlled by ``PRIME_FUSED``.
+* :mod:`repro.perf.plan` — the compiled plan every ``run_functional``
+  chunk executes: the programmed chain lowered into one flat schedule
+  whose weight steps calibrate their layer in-pass on the first chunk.
+  ``PRIME_FUSED=0`` sends each weight step through the kernels'
+  per-engine walk instead, the oracle for differential testing.
 
 Both layers emit ``perf.*`` telemetry counters when
 :mod:`repro.telemetry` is enabled, and both degrade gracefully: with

@@ -1,13 +1,11 @@
 """Plan-compiled megakernel: whole-network functional execution.
 
-The fused kernels (PR 3) collapsed each mapped layer's tile walk into
-a handful of batched matmuls, but :meth:`PrimeExecutor.run_functional`
-still interprets the network layer by layer on every chunk: rebuild
-the bias-augmented vector matrix, quantize through ``DynamicFixedPoint``
-object calls, round-trip codes through ``int64``, re-derive the
-digitisation constants, and allocate every intermediate afresh.
-:class:`CompiledPlan` lowers a calibrated :class:`ProgrammedLayer`
-chain into a flat step list once, at deploy time:
+:meth:`PrimeExecutor.run_functional` executes every chunk through a
+:class:`CompiledPlan`: a :class:`ProgrammedLayer` chain lowered into a
+flat step list once, at deploy time, instead of rebuilding the
+bias-augmented vector matrix, quantising through ``DynamicFixedPoint``
+object calls and re-deriving the digitisation constants layer by layer
+on every chunk:
 
 * each row block gets its own right-sized weight matrix, so short
   tail blocks never pad to the block size;
@@ -51,16 +49,19 @@ path (read noise on, resilience-remapped tiles, non-ideal arrays)
 delegate to ``FusedLayerKernel.mvm_batch``, which applies its own
 fused-noisy or per-engine fallback — semantics, seeded noise
 reproducibility, and telemetry counters are preserved in every case.
+``PRIME_FUSED=0`` sends every weight step down that delegate path to
+the per-engine tile walk, the oracle the other paths are tested
+against.
 
-``PRIME_PLAN_COMPILE=0`` disables compilation (the executor falls back
-to the per-layer interpreter); compilation failures warn once per
-programmed plan and surface as the ``perf.plan.fallback`` counter.
+Calibration is part of the plan: a step whose layer is not yet
+calibrated freezes the layer's input format and SA output window on
+its first run, from the first :data:`CALIBRATION_SAMPLES` samples of
+the input that run receives, then lowers itself.  So every chunk,
+a fresh chain's first one included, executes the compiled plan.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
 
 import numpy as np
@@ -69,18 +70,18 @@ from repro import telemetry
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
-from repro.perf.kernels import digitise, sa_window
+from repro.perf.kernels import digitise, fused_enabled, sa_window
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 __all__ = [
-    "plan_compile_enabled",
-    "PlanFallbackWarning",
+    "CALIBRATION_SAMPLES",
     "PlanCompileError",
     "PlanWorkspace",
     "CompiledPlan",
 ]
 
-logger = logging.getLogger("repro.perf")
-
+#: Samples used to freeze a layer's input format and SA output window.
+CALIBRATION_SAMPLES = 64
 #: Row width of the packed small-batch weight sub-blocks.  16 rows of
 #: (7 * 15)-bounded products keep each field below 2**11, so the two
 #: fields separate exactly at a 2**12 spacing inside float32 (see
@@ -101,35 +102,8 @@ _MAX_BUFFER_SETS = 8
 _PANEL_MACS, _PANEL_MIN_ROWS = 1 << 18, 256
 
 
-class PlanFallbackWarning(RuntimeWarning):
-    """A compiled plan was requested but could not be built; execution
-    fell back to the per-layer interpreter (also counted as
-    ``perf.plan.fallback``)."""
-
-
 class PlanCompileError(ExecutionError):
     """The programmed state cannot be lowered into a compiled plan."""
-
-
-def plan_compile_enabled() -> bool:
-    """Whether plan compilation is enabled (``PRIME_PLAN_COMPILE``).
-
-    ``"0"`` disables; unset/``"1"`` enable.  Any other value logs a
-    warning and keeps the default rather than raising mid-inference,
-    mirroring the other ``PRIME_*`` knobs.
-    """
-    env = os.environ.get("PRIME_PLAN_COMPILE", "").strip()
-    if env in ("", "1"):
-        return True
-    if env == "0":
-        return False
-    logger.warning(
-        "PRIME_PLAN_COMPILE must be 0 or 1, got %r; keeping the "
-        "default (enabled)",
-        env,
-    )
-    telemetry.count("perf.env.invalid", knob="PRIME_PLAN_COMPILE")
-    return True
 
 
 class PlanWorkspace:
@@ -171,39 +145,28 @@ class _ForwardStep:
 class _WeightStep:
     """One mapped weight layer, lowered to preallocated array math.
 
-    Two execution paths:
+    The layer's geometry is fixed at construction; its calibration
+    constants are baked by :meth:`_lower`, at construction when the
+    layer is calibrated, else on the first run, which calibrates the
+    layer first (:meth:`_calibrate`).  Two execution paths:
 
     * ``inline`` — the exact noise-free count-domain math, fully in
       place (requires :meth:`FusedLayerKernel.can_fuse` for the
-      noise-free regime at compile time);
+      noise-free regime at lowering time, and ``PRIME_FUSED`` on);
     * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch`, which keeps
-      the fused-noisy and per-engine fallbacks (remapped tiles,
-      non-ideal arrays, read noise) bit-identical to the interpreter.
+      the fused-noisy and per-engine paths (remapped tiles, non-ideal
+      arrays, read noise, ``PRIME_FUSED=0``) bit-identical to the
+      per-engine tile walk.
     """
 
     def __init__(self, layer, programmed, pin: int) -> None:
         kernel = programmed.kernel
         spec = kernel.spec
-        if programmed.in_fmt is None or programmed.output_shift is None:
-            raise PlanCompileError(
-                "cannot compile an uncalibrated layer; run a "
-                "calibration batch first"
-            )
         self.layer = layer
         self.programmed = programmed
         self.kernel = kernel
+        self.pin = pin
         self.is_conv = isinstance(layer, Conv2D)
-        self.in_fmt = programmed.in_fmt
-        self.shift = int(programmed.output_shift)
-        self.scale = (
-            (2.0 ** programmed.output_shift)
-            * programmed.in_fmt.resolution
-            * programmed.w_fmt.resolution
-        )
-        # Baked calibration constants: resolution is a power of two,
-        # so multiplying by its inverse equals quantize_int's division.
-        self.inv_in_res = 1.0 / self.in_fmt.resolution
-        self.code_max = float(self.in_fmt.int_max)
         self.lo_div = float(1 << (spec.pin // 2))
         self.inv_lo_div = 1.0 / self.lo_div
         self.t = kernel.total_cols
@@ -213,44 +176,14 @@ class _WeightStep:
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
-        w_cat = kernel.weight_stack()
-        self.cdtype = w_cat.dtype
-        self.pre, self.post = (
-            table.astype(self.cdtype) for table in sa_window(spec, self.shift)
-        )
         self.limit = float((1 << spec.po) - 1)
-        # Inline exactness: the noise-free fused regime, plus digitised
-        # sums (accumulated in the count dtype) that stay integers
-        # inside its contiguous-integer range (see digitise).
-        sum_ok = (
-            self.cdtype != np.float32
-            or self.limit * float(self.post.sum()) * self.rb
-            < float(1 << 24)
-        )
-        self.inline_ok = kernel.can_fuse(with_noise=False) and sum_ok
-        # Folded SA pre-shift (see the module docstring): with every
-        # part aligned (post == 1), pre[lo, half] = pre[hi, half] *
-        # 2**-(pin//2) (pin and pw are even), so weight columns carry
-        # pre[hi, half] and the lo drive phase 2**-(pin//2).
-        self.folded = bool(np.all(self.post == 1.0))
-        self.pre_rest = None if self.folded else self.pre
-        self.post_rest = None if self.folded else self.post
-        # Per row block, the (rows, 2*t) matrix its matmul reads;
-        # unfolded ones are views of the kernel's stack.
-        self.w_blocks = [w_cat[i, :r] for i, r in enumerate(self.rows_used)]
-        if self.folded:
-            cols = np.repeat(self.pre[0], self.t)
-            self.w_blocks = [w * cols for w in self.w_blocks]
-        self._w_ref = w_cat
-        # Packed micro-batch stack, built lazily on first use.
+        # Packed micro-batch geometry; the stack is built lazily.
         in_max = (1 << (spec.pin - spec.pin // 2)) - 1
         w_max = (1 << (spec.pw - spec.pw // 2)) - 1
         sub_bound = PACKED_SUB_ROWS * in_max * w_max
         self.pack_scale = float(1 << PACKED_FIELD_BITS)
-        self.packed_ok = (
-            self.inline_ok
-            and self.cdtype == np.float32
-            and sub_bound < (1 << (PACKED_FIELD_BITS - 1))
+        self._pack_fits = (
+            sub_bound < (1 << (PACKED_FIELD_BITS - 1))
             and sub_bound * (self.pack_scale + 1.0) < float(1 << 24)
         )
         self.sub_counts = [
@@ -279,11 +212,93 @@ class _WeightStep:
         # :class:`PlanWorkspace` stores instead.
         self._w_pack: np.ndarray | None = None
         self._im2col: dict[tuple, tuple] = {}
+        #: The frozen input format this step is lowered for (None
+        #: until :meth:`_lower`).
+        self.in_fmt = None
+        if programmed.in_fmt is not None:
+            self._lower()
 
     # -- compile-time pieces -------------------------------------------
 
+    def _calibrate(self, act: np.ndarray) -> None:
+        """Freeze the layer's calibration from this run's input.
+
+        The input format covers the first ``CALIBRATION_SAMPLES``
+        samples' activations and the bias input 1; the SA output window
+        fits the largest per-tile-row partial of their code rows into
+        the Po-bit register.  ``act`` is what this pass delivers (read
+        noise included), so chunked and unchunked runs, and noise-on
+        runs, freeze what the layer actually sees.  Later inputs outside
+        the frozen range saturate in the quantiser, as a fixed hardware
+        reference would.  This mutates the shared programmed layer:
+        callers that share one chain across threads run its first chunk
+        exclusively (the thread dispatcher does).
+        """
+        head = act[:CALIBRATION_SAMPLES]
+        in_fmt = DynamicFixedPoint.for_data(
+            np.append(head, 1.0), bits=self.pin, signed=False
+        )
+        rows = self._code_rows(head, in_fmt)
+        self.programmed.in_fmt = in_fmt
+        self.programmed.output_shift = self.kernel.calibrate_output_shift(
+            rows, calibration_samples=len(rows)
+        )
+
+    def _lower(self) -> None:
+        """Bake the layer's frozen calibration into scalar constants,
+        SA tables and (folded) weight blocks."""
+        programmed = self.programmed
+        kernel = self.kernel
+        self.in_fmt = programmed.in_fmt
+        self.shift = int(programmed.output_shift)
+        self.scale = (
+            (2.0 ** programmed.output_shift)
+            * programmed.in_fmt.resolution
+            * programmed.w_fmt.resolution
+        )
+        # Resolution is a power of two, so multiplying by its inverse
+        # equals quantize_int's division.
+        self.inv_in_res = 1.0 / self.in_fmt.resolution
+        self.code_max = float(self.in_fmt.int_max)
+        w_cat = kernel.weight_stack()
+        self.cdtype = w_cat.dtype
+        self.pre, self.post = (
+            table.astype(self.cdtype)
+            for table in sa_window(kernel.spec, self.shift)
+        )
+        # Inline exactness: the noise-free fused regime, plus digitised
+        # sums (accumulated in the count dtype) that stay integers
+        # inside its contiguous-integer range (see digitise).
+        sum_ok = (
+            self.cdtype != np.float32
+            or self.limit * float(self.post.sum()) * self.rb
+            < float(1 << 24)
+        )
+        self.inline_ok = kernel.can_fuse(with_noise=False) and sum_ok
+        self.packed_ok = (
+            self.inline_ok and self.cdtype == np.float32 and self._pack_fits
+        )
+        # Folded SA pre-shift (see the module docstring): with every
+        # part aligned (post == 1), pre[lo, half] = pre[hi, half] *
+        # 2**-(pin//2) (pin and pw are even), so weight columns carry
+        # pre[hi, half] and the lo drive phase 2**-(pin//2).
+        self.folded = bool(np.all(self.post == 1.0))
+        self.pre_rest = None if self.folded else self.pre
+        self.post_rest = None if self.folded else self.post
+        # Per row block, the (rows, 2*t) matrix its matmul reads;
+        # unfolded ones are views of the kernel's stack.
+        self.w_blocks = [w_cat[i, :r] for i, r in enumerate(self.rows_used)]
+        if self.folded:
+            cols = np.repeat(self.pre[0], self.t)
+            self.w_blocks = [w * cols for w in self.w_blocks]
+        self._w_ref = w_cat
+
     def valid(self) -> bool:
-        """Whether the programmed state still matches this lowering."""
+        """Whether the programmed state still matches this lowering
+        (for a step not lowered yet: whether its layer is still
+        uncalibrated)."""
+        if self.in_fmt is None:
+            return self.programmed.in_fmt is None
         return (
             self.programmed.in_fmt is self.in_fmt
             and self.programmed.output_shift == self.shift
@@ -451,8 +466,13 @@ class _WeightStep:
                 )
         elif act.ndim != 2:
             act = act.reshape(act.shape[0], -1)
-        inline = self.inline_ok and not (
-            with_noise and self.kernel._noisy(True)
+        if self.in_fmt is None:
+            self._calibrate(act)
+            self._lower()
+        inline = (
+            self.inline_ok
+            and fused_enabled()
+            and not (with_noise and self.kernel._noisy(True))
         )
         if inline:
             result = self._inline(act, store)
@@ -463,22 +483,29 @@ class _WeightStep:
             result = result.reshape(act.shape[0], oh, ow, -1)
         return result
 
-    def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
-        """The interpreter's math (kernel dispatch included), on codes
-        quantised before the patch gather like the inline path."""
+    def _code_rows(self, act: np.ndarray, in_fmt) -> np.ndarray:
+        """``(vectors, total_rows)`` integer drive codes of ``act`` in
+        ``in_fmt``: one row per sample (per output pixel for a conv
+        layer), bias code last, quantised before the patch gather like
+        the inline path."""
         b = act.shape[0]
-        codes = self.in_fmt.quantize_int(np.clip(act, 0.0, None))
+        codes = in_fmt.quantize_int(np.clip(act, 0.0, None))
         if self.is_conv:
             p = self.layer.pad
             codes = np.pad(codes, ((0, 0), (p, p), (p, p), (0, 0)))
         rows = np.zeros((b, codes[0].size + 2), dtype=np.int64)
         rows[:, :-2] = codes.reshape(b, -1)
-        rows[:, -2] = self.in_fmt.quantize_int(np.ones(1))[0]
+        rows[:, -2] = in_fmt.quantize_int(np.ones(1))[0]
         if self.is_conv:
             idx, _, _ = self._im2col_map(act.shape[1:])
             rows = rows[:, idx].reshape(-1, self.total_rows + 1)
+        return rows[:, : self.total_rows]
+
+    def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
+        """Kernel dispatch (fused-noisy, or the per-engine walk) on the
+        layer's code rows."""
         outputs = self.kernel.mvm_batch(
-            rows[:, : self.total_rows],
+            self._code_rows(act, self.in_fmt),
             with_noise=with_noise,
             output_shift=self.shift,
         )
@@ -610,12 +637,13 @@ class _WeightStep:
 class CompiledPlan:
     """A programmed network lowered into one flat execution schedule.
 
-    Built by :meth:`compile` from a calibrated programmed-layer chain;
-    :meth:`execute` replaces the per-layer loop inside
-    ``run_functional``.  The plan holds *references* to the programmed
-    state (engines, kernels, formats) — :meth:`matches` detects
-    reprogramming / recalibration / kernel invalidation, and the
-    executor recompiles when it no longer holds.
+    Built by :meth:`compile` from a programmed-layer chain, calibrated
+    or not (an uncalibrated layer calibrates on its step's first run);
+    :meth:`execute` runs every chunk of ``run_functional``.  The plan
+    holds *references* to the programmed state (engines, kernels,
+    formats) — :meth:`matches` detects reprogramming / recalibration /
+    kernel invalidation, and the executor recompiles when it no longer
+    holds.
     """
 
     def __init__(self, network, layers, pin, steps) -> None:
@@ -676,9 +704,8 @@ class CompiledPlan:
     ) -> "CompiledPlan":
         """Lower ``network`` over its programmed layers.
 
-        Raises :class:`PlanCompileError` when the programmed state is
-        uncalibrated or does not line up with the network's weight
-        layers.
+        Raises :class:`PlanCompileError` when the programmed layers do
+        not line up with the network's weight layers.
         """
         weight_layers = [
             l for l in network.layers if isinstance(l, (Dense, Conv2D))

@@ -810,12 +810,12 @@ class ThreadDispatcher:
     def _probe_parallel(self, programmed) -> bool:
         """Whether concurrent execution over the shared copy is safe.
 
-        Exactly the regimes whose hot paths are re-entrant: the fused
-        noise-free integer path and the fused noisy path (under
-        per-task private noise streams).  Anything that would fall to
-        the per-engine tile walk — remapped tiles, non-ideal arrays
-        with noise off, split RNGs, ``PRIME_FUSED=0`` — serialises
-        under the write lock instead.
+        Exactly the regimes whose hot paths are re-entrant: the
+        compiled plan's noise-free inline path and the fused noisy
+        path (under per-task private noise streams).  Anything the
+        plan's weight steps would hand to the per-engine tile walk —
+        remapped tiles, non-ideal arrays with noise off, split RNGs,
+        ``PRIME_FUSED=0`` — serialises under the write lock instead.
         """
         if not fused_enabled():
             return False

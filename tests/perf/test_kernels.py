@@ -99,14 +99,32 @@ class TestFusedBitIdentity:
         )
 
     def test_calibration_matches_executor_static(self, small_xbar, rng):
+        """The SA window is the smallest right shift that fits every
+        engine's largest exact partial over the calibration prefix
+        into the Po-bit register (a brute-force per-engine bound)."""
         tiles = make_grid(small_xbar, [32, 13], [16, 6], rng)
         kernel = FusedLayerKernel(tiles)
-        codes = make_codes(small_xbar, kernel, 40, rng)
-        assert kernel.calibrate_output_shift(
-            codes
-        ) == PrimeExecutor._calibrate_output_shift(
-            tiles, codes, kernel.spec.po
-        )
+        codes = make_codes(small_xbar, kernel, 100, rng)
+        # Code ranges grow past each prefix, so each prefix's window
+        # differs from the next one's.
+        codes[:40] >>= 2
+        codes[40:64] >>= 1
+        for samples in (40, 64):
+            bound = 1
+            off = 0
+            for tile_row in tiles:
+                for engine in tile_row:
+                    rows = engine.rows_used
+                    block = codes[:samples, off : off + rows]
+                    partial = block @ engine.programmed_weights
+                    bound = max(bound, int(np.abs(partial).max()))
+                off += tile_row[0].rows_used
+            shift = kernel.calibrate_output_shift(
+                codes, calibration_samples=samples
+            )
+            register = 1 << kernel.spec.po
+            assert bound >> shift < register
+            assert shift == 0 or bound >> (shift - 1) >= register
 
     def test_non_ideal_grid_refuses_to_fuse(self, small_xbar, rng):
         # Programming variation makes the counts depend on the actual

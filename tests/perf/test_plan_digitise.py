@@ -10,6 +10,13 @@ Conv layers (valid and same padding, multi-block fan-ins with short
 tail blocks), batch widths on both sides of the packed micro-batch
 boundary, SA windows on both sides of the folding boundary, and inputs
 one ulp either side of a rounding tie of the input format.
+
+The same harness pins the plan's in-pass calibration: the first call
+on a fresh chain, with calibration batches on both sides of
+``CALIBRATION_SAMPLES`` and per-sample input scales, must freeze each
+layer's input exponent and SA window exactly as the dynamic
+fixed-point formula recomputed here from the im2col patches of the
+first ``CALIBRATION_SAMPLES`` samples.
 """
 
 from __future__ import annotations
@@ -25,12 +32,14 @@ from hypothesis import strategies as st
 
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
+from repro.nn.layers import Conv2D, Dense
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 from repro.params.memory import MemoryOrganization
 from repro.params.prime import PrimeConfig
 from repro.params.reram import PT_TIO2_DEVICE
-from repro.perf.plan import PACKED_MAX_VECS
+from repro.perf.plan import CALIBRATION_SAMPLES, PACKED_MAX_VECS
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 #: 32-row arrays: fan-ins past 31 span several row blocks, and most
 #: leave a short tail block.
@@ -51,6 +60,8 @@ CONFIG = PrimeConfig(
     ),
 )
 BATCHES = (1, 2, 3, 17, 64)
+#: Calibration batches either side of CALIBRATION_SAMPLES.
+CAL_BATCHES = (1, 17, 64, 65, 100)
 
 
 @contextlib.contextmanager
@@ -101,6 +112,60 @@ def _tie_inputs(rng, shape, fmt) -> np.ndarray:
     return np.where(side > 0, np.nextafter(ties, np.inf), x)
 
 
+def _scaled_inputs(rng, batch, shape) -> np.ndarray:
+    """Uniform inputs, each sample scaled by its own power of two, so
+    samples past the calibration prefix can exceed its range."""
+    scales = 2.0 ** rng.integers(-3, 4, size=(batch,) + (1,) * len(shape))
+    return rng.random((batch, *shape)) * scales
+
+
+def _expected_calibration(net, programmed, x, pin):
+    """Per weight layer, ``(in_fmt.exponent, output_shift)`` by the
+    formula: the input format covers the first CALIBRATION_SAMPLES
+    samples' im2col vectors and a ones (bias) column; the SA window is
+    the smallest shift fitting each tile row's largest exact partial
+    of their codes into Po bits.  Activations advance through each
+    layer's *frozen* calibration, i.e. what the plan delivered."""
+    expected = []
+    weights = iter(programmed)
+    act = x
+    for layer in net.layers:
+        if not isinstance(layer, (Dense, Conv2D)):
+            act = layer.forward(act)
+            continue
+        p = next(weights)
+        if isinstance(layer, Conv2D):
+            patches, _ = layer._columns(act)
+            vectors = patches.reshape(-1, patches.shape[-1])
+        else:
+            vectors = act.reshape(len(act), -1)
+        vectors = np.hstack([vectors, np.ones((len(vectors), 1))])
+        cal_rows = CALIBRATION_SAMPLES * (len(vectors) // len(act))
+        fmt = DynamicFixedPoint.for_data(
+            vectors[:cal_rows], bits=pin, signed=False
+        )
+        codes = fmt.quantize_int(np.clip(vectors[:cal_rows], 0.0, None))
+        bound = 1
+        for rb, tile_row in enumerate(p.tiles):
+            r0 = rb * CONFIG.crossbar.rows
+            block = codes[:, r0 : r0 + tile_row[0].rows_used]
+            weights_row = np.hstack([e.programmed_weights for e in tile_row])
+            bound = max(bound, int(np.max(np.abs(block @ weights_row))))
+        po = p.kernel.spec.po
+        expected.append((fmt.exponent, max(0, bound.bit_length() - po)))
+        out = p.kernel.mvm_batch(
+            p.in_fmt.quantize_int(np.clip(vectors, 0.0, None)),
+            with_noise=False,
+            output_shift=p.output_shift,
+        )
+        act = out * (
+            2.0 ** p.output_shift * p.in_fmt.resolution * p.w_fmt.resolution
+        )
+        if isinstance(layer, Conv2D):
+            act = act.reshape(*patches.shape[:3], -1)
+    return expected
+
+
 @st.composite
 def layers(draw):
     """A small network: one Dense, or a Conv2D feeding a Dense."""
@@ -130,20 +195,26 @@ def layers(draw):
 @given(
     topology=layers(),
     batch=st.sampled_from(BATCHES),
+    cal_batch=st.sampled_from(CAL_BATCHES),
     shift=st.integers(0, 14),
     seed=st.integers(0, 2**16),
 )
-def test_compiled_plan_matches_per_engine_walk(topology, batch, shift, seed):
+def test_compiled_plan_matches_per_engine_walk(
+    topology, batch, cal_batch, shift, seed
+):
     rng = np.random.default_rng(seed)
     net = _build(topology, rng)
     plan = PrimeCompiler(CONFIG).compile(topology)
     executor = PrimeExecutor(CONFIG)
     programmed = executor.program_network(net, plan)
     shape = tuple(np.atleast_1d(topology.input_shape))
-    # Calibration pass (interpreter) freezes the formats; then pin the
-    # first layer's SA window to the drawn shift, folded or not.
-    executor.run_functional(
-        net, plan, rng.random((8, *shape)), programmed=programmed
+    # The first call calibrates in-pass; then pin the first layer's SA
+    # window to the drawn shift, folded or not.
+    x_cal = _scaled_inputs(rng, cal_batch, shape)
+    executor.run_functional(net, plan, x_cal, programmed=programmed)
+    pin = CONFIG.crossbar.effective_input_bits
+    assert [(p.in_fmt.exponent, p.output_shift) for p in programmed] == (
+        _expected_calibration(net, programmed, x_cal, pin)
     )
     programmed[0].output_shift = shift
     x = _tie_inputs(rng, (batch, *shape), programmed[0].in_fmt)
